@@ -1,20 +1,25 @@
-// Extension bench (not in the paper): partitioned batch repair — the
-// unit-of-work decomposition behind the §8 deployment direction. On
-// workloads whose traffic has quiet gaps, the input splits into chain
-// components that are provably independent; this bench shows the
-// equivalence, the per-partition sizing that a distributed deployment
-// would exploit, and how the parallel execution engine scales the same
-// decomposition across threads with bit-identical output.
+// Extension bench (not in the paper): chain components and thread scaling
+// of the one batch engine. On workloads whose traffic has quiet gaps, the
+// input splits into chain components that are provably independent (Gm has
+// no edge between them), and a single whole-set IdRepairer run repairs each
+// one on its own without being told about them. This bench reports the
+// component shape a distributed deployment (§8) would shard by, the core
+// engine's cost on it at 1 and 4 threads, and how the parallel execution
+// engine scales sparse, giant-component and selection-heavy workloads with
+// bit-identical output.
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "bench_util.h"
-#include "eval/metrics.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
-#include "repair/partitioned.h"
+#include "repair/repairer.h"
 
 using namespace idrepair;
 using namespace idrepair::benchutil;
@@ -45,6 +50,43 @@ bool MinRepair(const Repairer& engine, const TrajectorySet& set,
   return ok;
 }
 
+/// The output fields a thread sweep holds fixed. RepairResult is move-only,
+/// so the first run of a sweep copies just these.
+struct Reference {
+  std::unordered_map<TrajIndex, std::string> rewrites;
+  std::vector<RepairIndex> selected;
+  double omega = 0.0;
+
+  explicit Reference(const RepairResult& r)
+      : rewrites(r.rewrites),
+        selected(r.selected),
+        omega(r.total_effectiveness) {}
+
+  bool Matches(const RepairResult& r) const {
+    return r.rewrites == rewrites && r.selected == selected &&
+           r.total_effectiveness == omega;
+  }
+};
+
+Result<TrajectorySet> Workload(const TransitionGraph& graph,
+                               size_t trajectories, Timestamp window_seconds,
+                               uint64_t seed) {
+  SyntheticConfig config;
+  config.num_trajectories = trajectories;
+  config.max_path_len = 4;
+  config.window_seconds = window_seconds;
+  config.seed = seed;
+  auto ds = GenerateSyntheticDataset(graph, config);
+  if (!ds.ok()) return ds.status();
+  return ds->BuildObservedTrajectories();
+}
+
+size_t Largest(const std::vector<std::vector<TrajIndex>>& components) {
+  size_t largest = 0;
+  for (const auto& c : components) largest = std::max(largest, c.size());
+  return largest;
+}
+
 }  // namespace
 
 int main() {
@@ -54,173 +96,137 @@ int main() {
   options.theta = 4;
   options.eta = 600;
 
-  report.Title("Partitioned repair vs whole batch (sparser => more chunks)");
-  report.Header({"window_h", "trajs", "partitions", "largest", "batch_ms",
-               "chunked_ms", "identical"});
+  report.Title("Chain components vs window (sparser => more components)");
+  report.Header({"window_h", "threads", "trajs", "components", "largest",
+                 "core_ms", "identical"});
   for (int window_hours : {1, 4, 16, 48}) {
-    SyntheticConfig config;
-    config.num_trajectories = 1500;
-    config.max_path_len = 4;
-    config.window_seconds = static_cast<Timestamp>(window_hours) * 3600;
-    config.seed = 2024;
-    auto ds = GenerateSyntheticDataset(graph, config);
-    if (!ds.ok()) {
-      std::cerr << "generation failed: " << ds.status() << "\n";
+    auto set = Workload(graph, 1500,
+                        static_cast<Timestamp>(window_hours) * 3600, 2024);
+    if (!set.ok()) {
+      std::cerr << "generation failed: " << set.status() << "\n";
       return 1;
     }
-    TrajectorySet set = ds->BuildObservedTrajectories();
-
-    IdRepairer whole(graph, options);
-    Result<RepairResult> batch = Status::Internal("never ran");
-    double batch_seconds = 0.0;
-    if (!MinRepair(whole, set, &RepairStats::seconds_total, &batch,
-                   &batch_seconds)) {
-      return 1;
-    }
-
-    PartitionedRepairer partitioned(graph, options);
-    Result<RepairResult> chunked = Status::Internal("never ran");
-    double chunked_seconds = 0.0;
-    if (!MinRepair(partitioned, set, &RepairStats::seconds_total, &chunked,
-                   &chunked_seconds)) {
-      return 1;
-    }
-
-    bool identical = chunked->rewrites == batch->rewrites;
-    report.Row({std::to_string(window_hours), std::to_string(set.size()),
-              std::to_string(chunked->stats.num_partitions),
-              std::to_string(chunked->stats.largest_partition),
-              FmtMs(batch_seconds), FmtMs(chunked_seconds),
-              identical ? "yes" : "NO (BUG)"});
-    if (!identical) return 1;
-  }
-  std::cout << "\n(partitioned results must be bit-identical to the whole "
-               "batch; the largest partition bounds per-worker memory)\n";
-
-  // ---------------------------------------------------- thread scaling
-  // Fixed sparse workload, varying exec.num_threads. Speedup is relative
-  // to the 1-thread run of the SAME engine, so it isolates the execution
-  // engine from the partitioning benefit measured above.
-  report.Title("Parallel partitioned repair: thread scaling");
-  {
-    SyntheticConfig config;
-    config.num_trajectories = 4000;
-    config.max_path_len = 4;
-    // Two weeks: mean start gap ~5 min vs η=10 min, so the chain breaks
-    // into hundreds of components — enough units of work for any width.
-    config.window_seconds = static_cast<Timestamp>(14 * 24) * 3600;
-    config.seed = 2025;
-    auto ds = GenerateSyntheticDataset(graph, config);
-    if (!ds.ok()) {
-      std::cerr << "generation failed: " << ds.status() << "\n";
-      return 1;
-    }
-    TrajectorySet set = ds->BuildObservedTrajectories();
-
-    report.Header({"threads", "partitions", "wall_ms", "cpu_ms", "speedup",
-                 "identical"});
-    double base_seconds = 0.0;
-    // RepairResult is move-only; keep only the fields compared below.
-    std::unordered_map<TrajIndex, std::string> reference_rewrites;
-    std::vector<RepairIndex> reference_selected;
-    double reference_omega = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
+    auto components = IdRepairer(graph, options).Partition(*set);
+    std::optional<Reference> reference;
+    for (int threads : {1, 4}) {
       RepairOptions run_options = options;
       run_options.exec.num_threads = threads;
-      run_options.exec.min_partition_grain = 64;
-      PartitionedRepairer engine(graph, run_options);
-
-      double best = 0.0;
+      IdRepairer engine(graph, run_options);
       Result<RepairResult> result = Status::Internal("never ran");
-      if (!MinRepair(engine, set, &RepairStats::seconds_total, &result,
+      double best = 0.0;
+      if (!MinRepair(engine, *set, &RepairStats::seconds_total, &result,
                      &best)) {
         return 1;
       }
-      if (threads == 1) {
-        base_seconds = best;
-        reference_rewrites = result->rewrites;
-        reference_selected = result->selected;
-        reference_omega = result->total_effectiveness;
+      if (!reference) reference.emplace(*result);
+      bool identical = reference->Matches(*result);
+      report.Row({std::to_string(window_hours), std::to_string(threads),
+                  std::to_string(set->size()),
+                  std::to_string(components.size()),
+                  std::to_string(Largest(components)), FmtMs(best),
+                  identical ? "yes" : "NO (BUG)"});
+      if (!identical) return 1;
+    }
+  }
+  std::cout << "\n(one whole-set run repairs every component independently; "
+               "the largest component bounds per-worker memory in a sharded "
+               "deployment)\n";
+
+  // ---------------------------------------------------- thread scaling
+  // Fixed sparse workload, varying exec.num_threads. Speedup is relative
+  // to the 1-thread run.
+  report.Title("Many chain components: thread scaling");
+  {
+    // Two weeks: mean start gap ~5 min vs η=10 min, so the chain breaks
+    // into hundreds of components.
+    auto set = Workload(graph, 4000,
+                        static_cast<Timestamp>(14 * 24) * 3600, 2025);
+    if (!set.ok()) {
+      std::cerr << "generation failed: " << set.status() << "\n";
+      return 1;
+    }
+    auto components = IdRepairer(graph, options).Partition(*set);
+    report.Header({"threads", "components", "largest", "wall_ms", "cpu_ms",
+                   "speedup", "identical"});
+    double base_seconds = 0.0;
+    std::optional<Reference> reference;
+    for (int threads : {1, 2, 4, 8}) {
+      RepairOptions run_options = options;
+      run_options.exec.num_threads = threads;
+      IdRepairer engine(graph, run_options);
+
+      double best = 0.0;
+      Result<RepairResult> result = Status::Internal("never ran");
+      if (!MinRepair(engine, *set, &RepairStats::seconds_total, &result,
+                     &best)) {
+        return 1;
       }
-      bool identical = result->rewrites == reference_rewrites &&
-                       result->selected == reference_selected &&
-                       result->total_effectiveness == reference_omega;
+      if (!reference) {
+        base_seconds = best;
+        reference.emplace(*result);
+      }
+      bool identical = reference->Matches(*result);
       report.Row({std::to_string(result->stats.threads_used),
-                std::to_string(result->stats.num_partitions), FmtMs(best),
-                FmtMs(result->stats.cpu_seconds_total),
-                FmtRatio(base_seconds / std::max(best, 1e-9)),
-                identical ? "yes" : "NO (BUG)"});
+                  std::to_string(components.size()),
+                  std::to_string(Largest(components)), FmtMs(best),
+                  FmtMs(result->stats.cpu_seconds_total),
+                  FmtRatio(base_seconds / std::max(best, 1e-9)),
+                  identical ? "yes" : "NO (BUG)"});
       if (!identical) return 1;
     }
     std::cout << "\n(hardware threads available here: "
               << std::thread::hardware_concurrency()
-              << "; speedup is bounded by that and by the largest chain "
-                 "component — output is bit-identical at every width)\n";
+              << "; output is bit-identical at every width)\n";
   }
 
   // ------------------------------------ single giant component scaling
   // The opposite workload: dense traffic in one window, so the whole batch
-  // is ONE chain component and component-level dispatch has no units to
-  // spread. Intra-component sharding (seed-sharded candidate generation +
-  // sharded Gm build) is the only parallel surface — before it existed,
-  // this table was flat at 1.0x by construction.
+  // is ONE chain component. Intra-component sharding (seed-sharded
+  // candidate generation + sharded Gm build) is the only parallel surface.
   report.Title("Single giant chain component: intra-component sharding");
   {
-    SyntheticConfig config;
-    config.num_trajectories = 1500;
-    config.max_path_len = 4;
-    config.window_seconds = 3600;  // mean start gap ~2 s vs η = 600 s
-    config.seed = 2026;
-    auto ds = GenerateSyntheticDataset(graph, config);
-    if (!ds.ok()) {
-      std::cerr << "generation failed: " << ds.status() << "\n";
+    // Mean start gap ~2 s vs η = 600 s.
+    auto set = Workload(graph, 1500, 3600, 2026);
+    if (!set.ok()) {
+      std::cerr << "generation failed: " << set.status() << "\n";
       return 1;
     }
-    TrajectorySet set = ds->BuildObservedTrajectories();
-
-    report.Header({"threads", "partitions", "gen_ms", "wall_ms", "speedup",
-                 "imbalance", "identical"});
+    auto components = IdRepairer(graph, options).Partition(*set);
+    if (components.size() != 1) {
+      std::cerr << "expected one giant component, got " << components.size()
+                << "\n";
+      return 1;
+    }
+    report.Header({"threads", "components", "gen_ms", "wall_ms", "speedup",
+                   "imbalance", "identical"});
     double base_seconds = 0.0;
-    // RepairResult is move-only; keep only the fields compared below.
-    std::unordered_map<TrajIndex, std::string> reference_rewrites;
-    std::vector<RepairIndex> reference_selected;
-    double reference_omega = 0.0;
+    std::optional<Reference> reference;
     for (int threads : {1, 2, 4, 8}) {
       RepairOptions run_options = options;
       run_options.exec.num_threads = threads;
-      PartitionedRepairer engine(graph, run_options);
+      IdRepairer engine(graph, run_options);
 
       double best = 0.0;
       Result<RepairResult> result = Status::Internal("never ran");
-      if (!MinRepair(engine, set, &RepairStats::seconds_total, &result,
+      if (!MinRepair(engine, *set, &RepairStats::seconds_total, &result,
                      &best)) {
         return 1;
       }
-      if (result->stats.num_partitions != 1) {
-        std::cerr << "expected one giant component, got "
-                  << result->stats.num_partitions << "\n";
-        return 1;
-      }
-      if (threads == 1) {
+      if (!reference) {
         base_seconds = best;
-        reference_rewrites = result->rewrites;
-        reference_selected = result->selected;
-        reference_omega = result->total_effectiveness;
+        reference.emplace(*result);
       }
-      bool identical = result->rewrites == reference_rewrites &&
-                       result->selected == reference_selected &&
-                       result->total_effectiveness == reference_omega;
-      report.Row({std::to_string(threads),
-                std::to_string(result->stats.num_partitions),
-                FmtMs(result->stats.seconds_generation), FmtMs(best),
-                FmtRatio(base_seconds / std::max(best, 1e-9)),
-                Fmt(result->stats.sched_imbalance, 2),
-                identical ? "yes" : "NO (BUG)"});
+      bool identical = reference->Matches(*result);
+      report.Row({std::to_string(threads), std::to_string(components.size()),
+                  FmtMs(result->stats.seconds_generation), FmtMs(best),
+                  FmtRatio(base_seconds / std::max(best, 1e-9)),
+                  Fmt(result->stats.sched_imbalance, 2),
+                  identical ? "yes" : "NO (BUG)"});
       if (!identical) return 1;
     }
-    std::cout << "\n(one component = one partition task: all scaling here "
-                 "comes from seed-sharded candidate generation and the "
-                 "sharded Gm build inside the component)\n";
+    std::cout << "\n(one component: all scaling here comes from "
+                 "seed-sharded candidate generation and the sharded Gm "
+                 "build inside the component)\n";
   }
 
   // ------------------------------------------- selection-phase scaling
@@ -235,25 +241,15 @@ int main() {
   // the selection.
   report.Title("Selection phase: thread scaling (DMIN, grain 64)");
   {
-    SyntheticConfig config;
-    config.num_trajectories = 300;
-    config.max_path_len = 4;
-    config.window_seconds = 3600;
-    config.seed = 2026;
-    auto ds = GenerateSyntheticDataset(graph, config);
-    if (!ds.ok()) {
-      std::cerr << "generation failed: " << ds.status() << "\n";
+    auto set = Workload(graph, 300, 3600, 2026);
+    if (!set.ok()) {
+      std::cerr << "generation failed: " << set.status() << "\n";
       return 1;
     }
-    TrajectorySet set = ds->BuildObservedTrajectories();
-
     report.Header({"threads", "gr_edges", "sel_ms", "wall_ms", "sel_speedup",
-                 "identical"});
+                   "identical"});
     double base_selection = 0.0;
-    // RepairResult is move-only; keep only the fields compared below.
-    std::unordered_map<TrajIndex, std::string> reference_rewrites;
-    std::vector<RepairIndex> reference_selected;
-    double reference_omega = 0.0;
+    std::optional<Reference> reference;
     for (int threads : {1, 2, 4, 8}) {
       RepairOptions run_options = options;
       run_options.selection = SelectionAlgorithm::kDmin;
@@ -263,24 +259,20 @@ int main() {
 
       double best = 0.0;
       Result<RepairResult> result = Status::Internal("never ran");
-      if (!MinRepair(engine, set, &RepairStats::seconds_selection, &result,
+      if (!MinRepair(engine, *set, &RepairStats::seconds_selection, &result,
                      &best)) {
         return 1;
       }
-      if (threads == 1) {
+      if (!reference) {
         base_selection = best;
-        reference_rewrites = result->rewrites;
-        reference_selected = result->selected;
-        reference_omega = result->total_effectiveness;
+        reference.emplace(*result);
       }
-      bool identical = result->rewrites == reference_rewrites &&
-                       result->selected == reference_selected &&
-                       result->total_effectiveness == reference_omega;
+      bool identical = reference->Matches(*result);
       report.Row({std::to_string(threads),
-                std::to_string(result->stats.gr_edges), FmtMs(best),
-                FmtMs(result->stats.seconds_total),
-                FmtRatio(base_selection / std::max(best, 1e-9)),
-                identical ? "yes" : "NO (BUG)"});
+                  std::to_string(result->stats.gr_edges), FmtMs(best),
+                  FmtMs(result->stats.seconds_total),
+                  FmtRatio(base_selection / std::max(best, 1e-9)),
+                  identical ? "yes" : "NO (BUG)"});
       if (!identical) return 1;
     }
     std::cout << "\n(Phase 2 only: sharded repair-graph build plus the "

@@ -44,7 +44,7 @@ sys.exit(1 if failed else 0)
 EOF
 
 echo "==> scenario: city-scale & adversarial workload matrix"
-# The scenario tier (topology x traffic x error model through all five
+# The scenario tier (topology x traffic x error model through all four
 # engines, metamorphic + quality oracles) ran inside tier-1; re-run it by
 # name so a scenario regression reports as its own stage, then replay the
 # scenario bench and hold its deterministic columns (vertices, records,
@@ -81,8 +81,7 @@ EOF
 
 echo "==> scaling: regression test + bench floor"
 # The ctest half re-runs the scaling regression test on its own (byte
-# identity always; wall-clock only when the machine can express it). The
-# bench half replays the giant-component table and holds the 8-thread
+# identity at 1 vs 8 threads; it times nothing). The bench half replays the giant-component table and holds the 8-thread
 # generation speedup to a floor scaled by the cores actually present:
 # the full >=4x tentpole target on >=8 cores, cores/2 on smaller true
 # multicores, and report-only below 4 cores. Override the computed floor

@@ -10,9 +10,9 @@
 namespace idrepair {
 
 /// Observability knobs, embedded in RepairOptions (RepairOptions::obs) so
-/// every engine (batch, partitioned, streaming) can switch instrumentation
-/// on without separate plumbing. Observability never changes what a repair
-/// computes — only what is recorded about it.
+/// every engine (batch, streaming) can switch instrumentation on without
+/// separate plumbing. Observability never changes what a repair computes —
+/// only what is recorded about it.
 struct ObsOptions {
   /// Master switch. Off (the default) costs one relaxed atomic load and a
   /// predictable branch per instrumentation site — see the overhead

@@ -34,24 +34,6 @@ size_t CandidateSet::AppendFrom(const CandidateSet& other, size_t r) {
   return row;
 }
 
-size_t CandidateSet::AppendRemapped(const CandidateSet& other, size_t r,
-                                    const std::vector<TrajIndex>& index_map) {
-  remap_scratch_.clear();
-  for (TrajIndex m : other.members(r)) remap_scratch_.push_back(index_map[m]);
-  SetId members = dict_.Intern(remap_scratch_);
-  remap_scratch_.clear();
-  for (TrajIndex m : other.invalid_members(r)) {
-    remap_scratch_.push_back(index_map[m]);
-  }
-  member_sets_.push_back(members);
-  invalid_sets_.push_back(dict_.Intern(remap_scratch_));
-  target_ids_.push_back(other.target_ids_[r]);
-  similarity_.push_back(other.similarity_[r]);
-  rarity_.push_back(other.rarity_[r]);
-  effectiveness_.push_back(other.effectiveness_[r]);
-  return size() - 1;
-}
-
 void CandidateSet::Reserve(size_t rows) {
   member_sets_.reserve(rows);
   invalid_sets_.reserve(rows);
@@ -74,8 +56,7 @@ size_t CandidateSet::MemoryBytes() const {
          invalid_sets_.capacity() * sizeof(SetId) + strings +
          similarity_.capacity() * sizeof(double) +
          rarity_.capacity() * sizeof(uint32_t) +
-         effectiveness_.capacity() * sizeof(double) +
-         remap_scratch_.capacity() * sizeof(TrajIndex);
+         effectiveness_.capacity() * sizeof(double);
 }
 
 namespace {
@@ -90,11 +71,12 @@ namespace {
 ///
 /// The backing table is borrowed, not owned: blocks draw it from the
 /// pool's per-thread scratch (ThreadPool::LocalScratch) so its capacity
-/// survives across blocks, and Reset() it per block — both because
-/// TrajIndex keys are component-local under the partitioned engine (a
-/// stale entry would answer for the wrong pair) and so the merged
-/// similarity_cache_hits stays a pure function of the block decomposition
-/// rather than of which thread ran which block.
+/// survives across blocks, and Reset() it per block — both because a
+/// thread's scratch outlives the set it last served (TrajIndex keys of an
+/// earlier Repair call, e.g. one streaming component, would answer for the
+/// wrong pair) and so the merged similarity_cache_hits stays a pure
+/// function of the block decomposition rather than of which thread ran
+/// which block.
 class PairSimilarityMemo {
  public:
   PairSimilarityMemo(const TrajectorySet& set, const IdSimilarity& similarity,

@@ -25,8 +25,8 @@ namespace idrepair {
 /// into a flat pooled arena — the storage-layer contract is DESIGN.md §9.
 ///
 /// Set accessors return Span views into the arena; views are invalidated by
-/// Append/AppendFrom/AppendRemapped (never by score fills), so hold no view
-/// across a mutation.
+/// Append/AppendFrom (never by score fills), so hold no view across a
+/// mutation.
 class CandidateSet {
  public:
   using SetId = MemberSetDictionary::SetId;
@@ -84,14 +84,6 @@ class CandidateSet {
   /// set's dictionary). The deterministic shard-order merge primitive.
   size_t AppendFrom(const CandidateSet& other, size_t r);
 
-  /// Appends row `r` of `other` with every member index translated through
-  /// `index_map` (local -> global), preserving element order. Used by the
-  /// partitioned engine's merge; scores are copied as-is and must be
-  /// recomputed or revalidated by the caller if the global degree profile
-  /// differs.
-  size_t AppendRemapped(const CandidateSet& other, size_t r,
-                        const std::vector<TrajIndex>& index_map);
-
   void Reserve(size_t rows);
 
   /// Drops the dictionary's dedup index once the set is fully built (a
@@ -113,7 +105,6 @@ class CandidateSet {
   std::vector<double> similarity_;
   std::vector<uint32_t> rarity_;
   std::vector<double> effectiveness_;
-  std::vector<TrajIndex> remap_scratch_;
 };
 
 /// Chooses the target ID for a joinable subset by Eq. (5): the member ID

@@ -105,9 +105,19 @@ void CliqueEnumerator::VisitNode(const std::vector<TrajIndex>& candidates,
       // Candidates after v that are adjacent to v (and, inductively, to
       // every earlier member).
       std::vector<TrajIndex> next;
-      for (size_t j = idx + 1; j < candidates.size(); ++j) {
-        TrajIndex w = candidates[j];
-        if (graph_->HasEdge(v, w)) next.push_back(w);
+      if (clique.size() == 1) {
+        // Root: the candidates are every feasible vertex, so the later
+        // adjacent ones are exactly v's later feasible neighbours. Walking
+        // the sorted adjacency keeps the order and costs O(deg), where a
+        // scan of the later seeds would cost O(n log deg) per root.
+        for (TrajIndex w : graph_->Neighbors(v)) {
+          if (w > v && graph_->IsFeasible(w)) next.push_back(w);
+        }
+      } else {
+        for (size_t j = idx + 1; j < candidates.size(); ++j) {
+          TrajIndex w = candidates[j];
+          if (graph_->HasEdge(v, w)) next.push_back(w);
+        }
       }
       if (!next.empty()) {
         Extend(clique, next_merged, next, cb, stats);

@@ -58,6 +58,8 @@ class CliqueEnumerator {
 
   /// Enumerates only the cliques rooted at seeds[begin, end) (subtrees may
   /// extend to later vertices of `seeds`; they never reach earlier ones).
+  /// `seeds` must be SeedVertices(): each root expands along its own
+  /// adjacency, which is the scan of the later seeds only for that list.
   /// Running disjoint contiguous ranges and concatenating the emissions in
   /// range order reproduces Enumerate() exactly, callbacks and stats both.
   Stats EnumerateSeedRange(const std::vector<TrajIndex>& seeds, size_t begin,

@@ -1,59 +1,15 @@
 #ifndef IDREPAIR_REPAIR_PARTITIONED_H_
 #define IDREPAIR_REPAIR_PARTITIONED_H_
 
-#include <cstddef>
-#include <string_view>
-#include <vector>
-
-#include "common/status.h"
 #include "repair/repairer.h"
-#include "traj/trajectory_set.h"
 
 namespace idrepair {
 
-/// Memory-bounded batch repair by time partitioning — the building block
-/// for the paper's §8 deployment direction ("distributed repair systems
-/// with UDF support"): each partition is an independent unit of work.
-///
-/// Trajectories are sorted by start time and cut into *chain components*:
-/// maximal runs whose consecutive start times are within η of each other.
-/// Two trajectories in different components can never share a joinable
-/// subset (the merged span would exceed η), so the trajectory graph has no
-/// cross-component edges, candidate sets and rarity degrees are identical
-/// per component, and EMAX decomposes — the result is *exactly* the
-/// whole-batch result, partition by partition (verified by tests).
-///
-/// Components are repaired in parallel on the exec thread pool
-/// (RepairOptions::exec caps the width); per-component results land in
-/// per-partition slots and are merged in partition order, so the output is
-/// bit-identical to a sequential run for every thread count. When the batch
-/// collapses to a single task (one giant chain component — the worst case
-/// for component-level parallelism), the inner repair inherits the full
-/// thread budget and scales *inside* the component instead, via the sharded
-/// Gm build and sharded candidate generation. Partition shape lands in
-/// RepairStats::num_partitions / largest_partition.
-class PartitionedRepairer : public Repairer {
- public:
-  PartitionedRepairer(const TransitionGraph& graph, RepairOptions options)
-      : repairer_(graph, std::move(options)) {}
-
-  /// Repairs `set` partition by partition. The returned RepairResult's
-  /// candidate list and selected indices are concatenated across
-  /// partitions (re-indexed); rewrites and the repaired set are global.
-  Result<RepairResult> Repair(const TrajectorySet& set) const override;
-
-  std::string_view name() const override { return "partitioned"; }
-
-  /// The partition boundaries for `set` under the configured η: each entry
-  /// is the list of TrajectorySet indices in one chain component, ascending.
-  std::vector<std::vector<TrajIndex>> Partition(
-      const TrajectorySet& set) const;
-
-  const RepairOptions& options() const { return repairer_.options(); }
-
- private:
-  IdRepairer repairer_;
-};
+/// Kept only so the frozen perfbench sources, which time
+/// `PartitionedRepairer(graph, options).Partition(set)`, still compile.
+/// There is one batch engine: IdRepairer repairs every chain component
+/// independently in a single run, and IdRepairer::Partition reports them.
+using PartitionedRepairer = IdRepairer;
 
 }  // namespace idrepair
 

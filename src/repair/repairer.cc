@@ -1,5 +1,6 @@
 #include "repair/repairer.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/stopwatch.h"
@@ -294,6 +295,30 @@ Result<RepairResult> IdRepairer::RepairImpl(
     inst.total_seconds->Observe(result.stats.seconds_total);
   }
   return result;
+}
+
+std::vector<std::vector<TrajIndex>> IdRepairer::Partition(
+    const TrajectorySet& set) const {
+  // TrajectorySet order is start-time order (FromRecords sorts), so chain
+  // components are contiguous index ranges; still sort defensively in case
+  // the set was constructed directly from unordered trajectories.
+  std::vector<TrajIndex> order(set.size());
+  for (TrajIndex i = 0; i < set.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](TrajIndex a, TrajIndex b) {
+                     return set.at(a).start_time() < set.at(b).start_time();
+                   });
+  std::vector<std::vector<TrajIndex>> components;
+  for (size_t i = 0; i < order.size(); ++i) {
+    bool new_component =
+        i == 0 || set.at(order[i]).start_time() -
+                          set.at(order[i - 1]).start_time() >
+                      options_.eta;
+    if (new_component) components.emplace_back();
+    components.back().push_back(order[i]);
+  }
+  for (auto& c : components) std::sort(c.begin(), c.end());
+  return components;
 }
 
 TrajectorySet ApplyRewrites(

@@ -52,16 +52,10 @@ struct RepairStats {
   // Parallel-execution footprint: the decomposition width this run was
   // allowed (ExecOptions::ResolvedThreads, >= 1).
   int threads_used = 1;
-  // Chain-component decomposition (PartitionedRepairer; 0 / 0 when the
-  // engine does not partition).
-  size_t num_partitions = 0;
-  size_t largest_partition = 0;     // trajectories in the biggest component
   // Dynamic-scheduler footprint of the generation phase (ParallelForDynamic
   // over clique seeds): blocks claimed, worker tasks that claimed at least
-  // one, and the worst max/mean busy-time ratio (1.0 = balanced). Under the
-  // partitioned engine these aggregate across partitions (blocks add,
-  // workers and imbalance take the max). Observational only — never feeds
-  // back into results.
+  // one, and the worst max/mean busy-time ratio (1.0 = balanced).
+  // Observational only — never feeds back into results.
   size_t sched_blocks = 0;
   size_t sched_workers = 0;
   double sched_imbalance = 1.0;
@@ -84,9 +78,8 @@ struct RepairStats {
 ///  1. Complete: `completion` is OK and every field is fully populated.
 ///  2. Degraded (deadline): the RepairOptions::deadline_ms budget ran out
 ///     mid-run. The engine stopped starting new work at a safe boundary —
-///     phase (IdRepairer), partition (PartitionedRepairer), or replay batch
-///     (StreamingRepairer's batch adapter) — and passed the unprocessed
-///     remainder through unrepaired. `completion` carries
+///     phase (IdRepairer) or replay batch (StreamingRepairer's batch
+///     adapter) — and passed the unprocessed remainder through unrepaired. `completion` carries
 ///     StatusCode::kDeadlineExceeded; everything populated is still
 ///     internally consistent (record conservation holds, every emitted
 ///     repair is a valid merge, `selected` indexes `candidates`,
@@ -118,14 +111,13 @@ struct RepairResult {
 
 /// Abstract repair engine: anything that turns a TrajectorySet into a
 /// RepairResult. Implemented by the core two-phase pipeline (IdRepairer),
-/// its chain-component decomposition (PartitionedRepairer), the streaming
-/// adapter (StreamingRepairer), and both §6.5.2 baselines, so benches, the
-/// CLI, and tests can swap engines polymorphically.
+/// the streaming adapter (StreamingRepairer), and both §6.5.2 baselines, so
+/// benches, the CLI, and tests can swap engines polymorphically.
 ///
 /// Engines differ in how much of RepairResult they fill: all of them
 /// produce `rewrites`, `repaired`, and timing stats; only the candidate-
-/// based engines (IdRepairer, PartitionedRepairer) expose `candidates`,
-/// `selected`, and `total_effectiveness`.
+/// based engine (IdRepairer) exposes `candidates`, `selected`, and
+/// `total_effectiveness`.
 class Repairer {
  public:
   virtual ~Repairer() = default;
@@ -141,6 +133,12 @@ class Repairer {
 /// Facade over the two-phase repair paradigm (§3): candidate repair
 /// generation followed by compatible repair selection, with the LIG index
 /// and MCP pruning optimizations applied per RepairOptions.
+///
+/// One run repairs every chain component (see Partition) independently
+/// without being told about them: Gm has no edge between two components,
+/// and clique roots grow along Gm adjacency, so each component's cliques,
+/// candidates and rarity degrees are exactly those of a run on the
+/// component alone.
 ///
 /// Typical use:
 ///   IdRepairer repairer(graph, options);
@@ -174,6 +172,15 @@ class IdRepairer : public Repairer {
 
   std::string_view name() const override { return "core"; }
 
+  /// The chain components of `set` under the configured η: maximal runs of
+  /// trajectories whose consecutive start times are within η. Two
+  /// trajectories in different components can never share a joinable
+  /// subset (the merged span would exceed η). Each entry lists the
+  /// component's TrajectorySet indices, ascending; components are in
+  /// start-time order.
+  std::vector<std::vector<TrajIndex>> Partition(
+      const TrajectorySet& set) const;
+
   const RepairOptions& options() const { return options_; }
   const TransitionGraph& graph() const { return *graph_; }
 
@@ -190,9 +197,8 @@ class IdRepairer : public Repairer {
   NormalizedEditSimilarity default_similarity_;
   // Evaluator shared across Repair() calls: graph and θ/η are fixed per
   // repairer, so the reachability build (the expensive part on city-scale
-  // graphs) happens once, not once per call — PartitionedRepairer issues one
-  // Repair per chain component against a single inner IdRepairer, possibly
-  // concurrently, hence the call_once.
+  // graphs) happens once, not once per call — and Repair() is const and may
+  // run concurrently on one repairer, hence the call_once.
   mutable std::once_flag pred_once_;
   mutable std::optional<PredicateEvaluator> shared_pred_;
 };

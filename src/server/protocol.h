@@ -112,7 +112,9 @@ struct RepairRequest {
   /// Per-request budget, mapped onto RepairOptions::deadline_ms (graceful
   /// degradation); 0 keeps the bundle's registered deadline.
   int64_t budget_ms = 0;
-  /// 0 = core engine, 1 = partitioned.
+  /// Batch-engine selector. 0 = core. 1 named the partitioned engine, which
+  /// was byte-identical to core and is retired; it is still accepted and
+  /// runs core, so old clients keep working. Values > 1 are refused.
   uint8_t engine = 0;
   /// Repair the registered resident corpus (load-not-rebuild: the bundle's
   /// snapshot-loaded LIG index is reused) instead of shipping batches.

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "gen/synthetic.h"
 #include "graph/generators.h"
 #include "repair/cliques.h"
+#include "repair/repairer.h"
 #include "test_util.h"
 
 namespace idrepair {
@@ -214,6 +217,117 @@ TEST(CliqueTest, PruningNeverLosesAJoinableSubset) {
     auto without = joinable_from(false);
     EXPECT_EQ(with, without) << "seed " << seed;
   }
+}
+
+// Independent oracle for the qualified-clique set: every vertex subset of
+// at most ζ members, all feasible, pairwise adjacent, holding at most θ
+// records — found by brute force over all index combinations, without the
+// enumerator's adjacency-driven search. Ascending combinations come out in
+// lexicographic order, which is also the enumerator's depth-first order.
+std::vector<Clique> BruteForceQualifiedCliques(const TrajectorySet& set,
+                                               const TrajectoryGraph& gm,
+                                               const RepairOptions& options) {
+  std::vector<Clique> out;
+  Clique current;
+  std::function<void(TrajIndex, size_t)> extend = [&](TrajIndex from,
+                                                      size_t records) {
+    for (TrajIndex v = from; v < set.size(); ++v) {
+      if (!gm.IsFeasible(v)) continue;
+      size_t total = records + set.at(v).size();
+      if (total > options.theta) continue;
+      bool adjacent = true;
+      for (TrajIndex u : current) adjacent = adjacent && gm.HasEdge(u, v);
+      if (!adjacent) continue;
+      current.push_back(v);
+      out.push_back(current);
+      if (current.size() < options.zeta) extend(v + 1, total);
+      current.pop_back();
+    }
+  };
+  extend(0, 0);
+  return out;
+}
+
+std::vector<Clique> Enumerated(const TrajectorySet& set,
+                               const TrajectoryGraph& gm,
+                               const PredicateEvaluator& pred,
+                               const RepairOptions& options) {
+  std::vector<Clique> out;
+  CliqueEnumerator(set, gm, pred, options)
+      .Enumerate([&](const Clique& c, const std::vector<MergedPoint>&) {
+        out.push_back(c);
+      });
+  return out;
+}
+
+// A small sparse set that splits into several chain components.
+TrajectorySet SmallMultiComponentSet(const TransitionGraph& graph) {
+  SyntheticConfig config;
+  config.num_trajectories = 40;
+  config.max_path_len = 4;
+  config.window_seconds = 16000;
+  config.record_error_rate = 0.3;
+  config.seed = 31;
+  auto ds = GenerateSyntheticDataset(graph, config);
+  EXPECT_TRUE(ds.ok()) << ds.status();
+  return ds->BuildObservedTrajectories();
+}
+
+TEST(CliqueTest, EnumerationEqualsBruteForceOnMultiComponentSet) {
+  TransitionGraph graph = MakeRealLikeGraph();
+  TrajectorySet set = SmallMultiComponentSet(graph);
+  RepairOptions options;
+  options.theta = 6;
+  options.eta = 600;
+  options.zeta = 4;
+  options.use_mcp_pruning = false;
+  ASSERT_GT(IdRepairer(graph, options).Partition(set).size(), 1u);
+  PredicateEvaluator pred(graph, options.theta, options.eta);
+  TrajectoryGraph gm(set, pred, options);
+  auto expected = BruteForceQualifiedCliques(set, gm, options);
+  ASSERT_GT(expected.size(), set.size()) << "no multi-member cliques";
+  EXPECT_EQ(Enumerated(set, gm, pred, options), expected);
+}
+
+// Streaming hands the enumerator graphs it maintained itself. The root
+// expansion walks each vertex's adjacency, so it must follow whatever edges
+// such a graph holds — here Gm with every third edge dropped plus extra
+// edges between nearby feasible vertices.
+TEST(CliqueTest, EnumerationEqualsBruteForceOnFromAdjacencyGraph) {
+  TransitionGraph graph = MakeRealLikeGraph();
+  TrajectorySet set = SmallMultiComponentSet(graph);
+  RepairOptions options;
+  options.theta = 6;
+  options.eta = 600;
+  options.zeta = 4;
+  options.use_mcp_pruning = false;
+  PredicateEvaluator pred(graph, options.theta, options.eta);
+  TrajectoryGraph built(set, pred, options);
+
+  std::set<std::pair<TrajIndex, TrajIndex>> edges;
+  size_t edge_no = 0;
+  for (TrajIndex v = 0; v < built.num_vertices(); ++v) {
+    for (TrajIndex w : built.Neighbors(v)) {
+      if (w > v && ++edge_no % 3 != 0) edges.insert({v, w});
+    }
+  }
+  for (TrajIndex v = 0; v + 2 < set.size(); ++v) {
+    if (built.IsFeasible(v) && built.IsFeasible(v + 2)) {
+      edges.insert({v, v + 2});
+    }
+  }
+  std::vector<std::vector<TrajIndex>> adj(set.size());
+  for (const auto& [v, w] : edges) {
+    adj[v].push_back(w);
+    adj[w].push_back(v);
+  }
+  TrajectoryGraph gm =
+      TrajectoryGraph::FromAdjacency(set, pred, std::move(adj));
+  ASSERT_EQ(gm.num_edges(), edges.size());
+
+  auto expected = BruteForceQualifiedCliques(set, gm, options);
+  ASSERT_GT(expected.size(), set.size()) << "no multi-member cliques";
+  EXPECT_EQ(Enumerated(set, gm, pred, options), expected);
 }
 
 }  // namespace

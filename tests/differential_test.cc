@@ -1,10 +1,10 @@
 // Cross-engine differential suite: seeded synthetic datasets over several
-// transition-graph shapes and error rates, run through all five engines via
-// the unified Repairer interface. The core and partitioned engines must
-// agree byte-for-byte (candidates, selection, rewrites, Ω); every engine
-// must conserve records; the transition-graph engines must only ever apply
-// joins that produce valid trajectories; and the streaming engine's
-// incremental path must emit valid merges.
+// transition-graph shapes and error rates, run through all four engines via
+// the unified Repairer interface. A whole-set core run must equal the
+// component-by-component oracle byte-for-byte (candidates, selection,
+// rewrites, Ω); every engine must conserve records; the transition-graph
+// engines must only ever apply joins that produce valid trajectories; and
+// the streaming engine's incremental path must emit valid merges.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,13 +44,18 @@ std::vector<Scenario> MakeScenarios() {
     TransitionGraph graph;
     size_t theta;
     int64_t travel_lo, travel_hi;
+    Timestamp window_seconds;
   };
   std::vector<Shape> shapes;
-  shapes.push_back({"paper", MakePaperExampleGraph(), 5, 60, 180});
-  shapes.push_back({"real_like", MakeRealLikeGraph(), 4, 60, 180});
+  shapes.push_back({"paper", MakePaperExampleGraph(), 5, 60, 180, 3600});
+  shapes.push_back({"real_like", MakeRealLikeGraph(), 4, 60, 180, 3600});
   // Shorter legs so full chain traversals fit the η bound (see bench/fig11).
-  shapes.push_back({"chain8", MakeChainGraph(8), 8, 30, 60});
-  shapes.push_back({"grid", MakeGridNetwork(3, 4), 6, 30, 90});
+  shapes.push_back({"chain8", MakeChainGraph(8), 8, 30, 60, 3600});
+  shapes.push_back({"grid", MakeGridNetwork(3, 4), 6, 30, 90, 3600});
+  // Sparse traffic: the mean start gap (~600 s) matches η, so the set
+  // splits into dozens of chain components. Every other shape is a single
+  // component.
+  shapes.push_back({"sparse", MakeRealLikeGraph(), 4, 60, 180, 72000});
 
   std::vector<Scenario> scenarios;
   uint64_t seed = 1000;
@@ -59,7 +65,7 @@ std::vector<Scenario> MakeScenarios() {
       config.num_trajectories = 120;
       config.record_error_rate = error_rate;
       config.max_path_len = shape.theta;
-      config.window_seconds = 3600;
+      config.window_seconds = shape.window_seconds;
       config.travel_median_lo = shape.travel_lo;
       config.travel_median_hi = shape.travel_hi;
       config.seed = ++seed;
@@ -81,51 +87,112 @@ std::vector<Scenario> MakeScenarios() {
   return scenarios;
 }
 
-// The partitioned engine must reproduce the core engine exactly — same
-// candidates in the same order, same selection, same rewrites, and the
-// same Ω down to the last bit (it recomputes the sum in global selection
-// order, so even float association matches).
-TEST(DifferentialTest, PartitionedIsByteIdenticalToCore) {
-  for (const Scenario& s : MakeScenarios()) {
-    SCOPED_TRACE(s.name);
-    auto core = MakeEngineByName("core", s.graph, s.options)->Repair(s.set);
-    auto part =
-        MakeEngineByName("partitioned", s.graph, s.options)->Repair(s.set);
-    ASSERT_TRUE(core.ok()) << core.status();
-    ASSERT_TRUE(part.ok()) << part.status();
+// Test-side oracle for the decomposition property: repairs every chain
+// component (IdRepairer::Partition) on its own and maps the results back to
+// global trajectory indices. Components are contiguous in start-time order
+// and the per-component candidate lists are concatenated in component
+// order, which is exactly the whole-set emission order.
+struct ComponentOracle {
+  std::vector<std::vector<TrajIndex>> candidate_members;  // global indices
+  std::vector<std::string> candidate_targets;
+  std::vector<double> candidate_effectiveness;
+  std::vector<RepairIndex> selected;                      // global rows
+  std::unordered_map<TrajIndex, std::string> rewrites;    // global indices
+  double total_effectiveness = 0.0;
+  size_t num_components = 0;
+};
 
-    ASSERT_EQ(part->candidates.size(), core->candidates.size());
-    const CandidateSet& a = core->candidates;
-    const CandidateSet& b = part->candidates;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(b.members(i), a.members(i)) << "candidate " << i;
-      EXPECT_EQ(b.target_id(i), a.target_id(i)) << "candidate " << i;
-      EXPECT_EQ(b.invalid_members(i), a.invalid_members(i))
-          << "candidate " << i;
-      EXPECT_EQ(b.similarity(i), a.similarity(i)) << "candidate " << i;
-      EXPECT_EQ(b.rarity(i), a.rarity(i)) << "candidate " << i;
-      EXPECT_EQ(b.effectiveness(i), a.effectiveness(i)) << "candidate " << i;
+ComponentOracle RepairByComponent(const IdRepairer& repairer,
+                                  const TrajectorySet& set) {
+  ComponentOracle oracle;
+  auto components = repairer.Partition(set);
+  oracle.num_components = components.size();
+  for (const std::vector<TrajIndex>& component : components) {
+    std::vector<Trajectory> trajs;
+    for (TrajIndex t : component) trajs.push_back(set.at(t));
+    auto local = repairer.Repair(TrajectorySet(std::move(trajs)));
+    EXPECT_TRUE(local.ok()) << local.status();
+    if (!local.ok()) continue;
+    EXPECT_TRUE(local->completion.ok()) << local->completion;
+    const CandidateSet& c = local->candidates;
+    RepairIndex base =
+        static_cast<RepairIndex>(oracle.candidate_members.size());
+    for (size_t r = 0; r < c.size(); ++r) {
+      std::vector<TrajIndex> members;
+      for (TrajIndex m : c.members(r)) members.push_back(component[m]);
+      oracle.candidate_members.push_back(std::move(members));
+      oracle.candidate_targets.push_back(c.target_id(r));
+      oracle.candidate_effectiveness.push_back(c.effectiveness(r));
     }
-    EXPECT_EQ(part->selected, core->selected);
-    EXPECT_EQ(part->rewrites, core->rewrites);
-    EXPECT_EQ(part->total_effectiveness, core->total_effectiveness);
-
-    // Phase-1 counters decompose exactly over chain components.
-    EXPECT_EQ(part->stats.jnb_checks, core->stats.jnb_checks);
-    EXPECT_EQ(part->stats.joinable_subsets, core->stats.joinable_subsets);
-    EXPECT_EQ(part->stats.cliques_enumerated, core->stats.cliques_enumerated);
-    EXPECT_EQ(part->stats.gm_edges, core->stats.gm_edges);
-    EXPECT_EQ(part->stats.num_candidates, core->stats.num_candidates);
-    EXPECT_EQ(part->stats.num_selected, core->stats.num_selected);
+    for (RepairIndex r : local->selected) {
+      oracle.selected.push_back(base + r);
+      // Summed in global selection order, as TotalEffectiveness does.
+      oracle.total_effectiveness += c.effectiveness(r);
+    }
+    for (const auto& [traj, id] : local->rewrites) {
+      oracle.rewrites.emplace(component[traj], id);
+    }
   }
+  return oracle;
+}
+
+// The one batch engine repairs every chain component independently: Gm has
+// no edge between components, and clique roots grow along Gm adjacency. So
+// a whole-set run must equal the component-by-component oracle exactly —
+// same candidates in the same order (members, targets, ω down to the last
+// bit), same selection, same rewrites, same Ω — for every selection
+// algorithm.
+TEST(DifferentialTest, WholeSetRunEqualsComponentOracle) {
+  size_t multi_component_scenarios = 0;
+  for (const Scenario& s : MakeScenarios()) {
+    for (SelectionAlgorithm algorithm :
+         {SelectionAlgorithm::kEmax, SelectionAlgorithm::kDmin,
+          SelectionAlgorithm::kDmax, SelectionAlgorithm::kExact}) {
+      // Branch-and-bound is exponential on the dense single-component
+      // shapes; the sparse shape is where the decomposition matters.
+      if (algorithm == SelectionAlgorithm::kExact &&
+          s.name.rfind("sparse", 0) != 0) {
+        continue;
+      }
+      SCOPED_TRACE(s.name + " / algo" +
+                   std::to_string(static_cast<int>(algorithm)));
+      RepairOptions options = s.options;
+      options.selection = algorithm;
+      IdRepairer repairer(s.graph, options);
+      auto whole = repairer.Repair(s.set);
+      ASSERT_TRUE(whole.ok()) << whole.status();
+      ComponentOracle oracle = RepairByComponent(repairer, s.set);
+      if (algorithm == SelectionAlgorithm::kEmax &&
+          oracle.num_components > 1) {
+        ++multi_component_scenarios;
+      }
+
+      const CandidateSet& c = whole->candidates;
+      ASSERT_EQ(c.size(), oracle.candidate_members.size());
+      for (size_t r = 0; r < c.size(); ++r) {
+        std::vector<TrajIndex> members(c.members(r).begin(),
+                                       c.members(r).end());
+        EXPECT_EQ(members, oracle.candidate_members[r]) << "candidate " << r;
+        EXPECT_EQ(c.target_id(r), oracle.candidate_targets[r])
+            << "candidate " << r;
+        EXPECT_EQ(c.effectiveness(r), oracle.candidate_effectiveness[r])
+            << "candidate " << r;
+      }
+      EXPECT_EQ(whole->selected, oracle.selected);
+      EXPECT_EQ(whole->rewrites, oracle.rewrites);
+      EXPECT_EQ(whole->total_effectiveness, oracle.total_effectiveness);
+    }
+  }
+  // Both error rates of the sparse shape split into many components.
+  EXPECT_GE(multi_component_scenarios, 2u);
 }
 
 // Selection-grain torture: --selection-grain 1 forces every selection
 // stage (effectiveness-sort shards, repair-graph shards, invalidation
 // fan-out) onto the pool even for small components, and the result must
 // still match a single-thread default-grain core run byte for byte — for
-// both the EMAX cover fast path and the graph-materializing DMIN path, on
-// both exact engines, at every thread count.
+// both the EMAX cover fast path and the graph-materializing DMIN path, at
+// every thread count.
 TEST(DifferentialTest, SelectionGrainOneIsByteIdenticalAcrossThreads) {
   for (const Scenario& s : MakeScenarios()) {
     if (s.name.find("err20") == std::string::npos) continue;
@@ -138,22 +205,20 @@ TEST(DifferentialTest, SelectionGrainOneIsByteIdenticalAcrossThreads) {
                            ->Repair(s.set);
       ASSERT_TRUE(reference.ok()) << reference.status();
       for (int threads : {1, 2, 8}) {
-        for (std::string_view engine_name : {"core", "partitioned"}) {
-          SCOPED_TRACE(s.name + " / " + std::string(engine_name) + " / algo" +
-                       std::to_string(static_cast<int>(algorithm)) + " / t" +
-                       std::to_string(threads));
-          RepairOptions options = reference_options;
-          options.exec.num_threads = threads;
-          options.exec.min_selection_grain = 1;
-          auto result =
-              MakeEngineByName(engine_name, s.graph, options)->Repair(s.set);
-          ASSERT_TRUE(result.ok()) << result.status();
-          EXPECT_EQ(result->selected, reference->selected);
-          EXPECT_EQ(result->rewrites, reference->rewrites);
-          EXPECT_EQ(result->total_effectiveness,
-                    reference->total_effectiveness);
-          EXPECT_EQ(result->stats.gr_edges, reference->stats.gr_edges);
-        }
+        SCOPED_TRACE(s.name + " / algo" +
+                     std::to_string(static_cast<int>(algorithm)) + " / t" +
+                     std::to_string(threads));
+        RepairOptions options = reference_options;
+        options.exec.num_threads = threads;
+        options.exec.min_selection_grain = 1;
+        auto result =
+            MakeEngineByName("core", s.graph, options)->Repair(s.set);
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(result->selected, reference->selected);
+        EXPECT_EQ(result->rewrites, reference->rewrites);
+        EXPECT_EQ(result->total_effectiveness,
+                  reference->total_effectiveness);
+        EXPECT_EQ(result->stats.gr_edges, reference->stats.gr_edges);
       }
     }
   }
@@ -175,31 +240,28 @@ TEST(DifferentialTest, AllEnginesConserveRecords) {
   }
 }
 
-// The candidate-based transition-graph engines only ever apply joins whose
-// merged trajectory is valid, and their selections are compatible
-// (pairwise disjoint members).
-TEST(DifferentialTest, CandidateEnginesApplyOnlyValidCompatibleJoins) {
+// The candidate-based engine only ever applies joins whose merged
+// trajectory is valid, and its selections are compatible (pairwise
+// disjoint members).
+TEST(DifferentialTest, CoreAppliesOnlyValidCompatibleJoins) {
   for (const Scenario& s : MakeScenarios()) {
-    for (std::string_view engine_name : {"core", "partitioned"}) {
-      SCOPED_TRACE(s.name + " / " + std::string(engine_name));
-      auto result =
-          MakeEngineByName(engine_name, s.graph, s.options)->Repair(s.set);
-      ASSERT_TRUE(result.ok()) << result.status();
-      std::set<TrajIndex> used;
-      for (RepairIndex r : result->selected) {
-        for (TrajIndex m : result->candidates.members(r)) {
-          EXPECT_TRUE(used.insert(m).second) << "overlapping selection";
-        }
+    SCOPED_TRACE(s.name);
+    auto result = MakeEngineByName("core", s.graph, s.options)->Repair(s.set);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::set<TrajIndex> used;
+    for (RepairIndex r : result->selected) {
+      for (TrajIndex m : result->candidates.members(r)) {
+        EXPECT_TRUE(used.insert(m).second) << "overlapping selection";
       }
-      auto idx = result->repaired.BuildIdIndex();
-      for (RepairIndex r : result->selected) {
-        const CandidateSet& cands = result->candidates;
-        if (cands.num_members(r) < 2) continue;
-        auto it = idx.find(cands.target_id(r));
-        ASSERT_NE(it, idx.end()) << cands.target_id(r);
-        EXPECT_TRUE(result->repaired.at(it->second).IsValid(s.graph))
-            << "invalid join applied to " << cands.target_id(r);
-      }
+    }
+    auto idx = result->repaired.BuildIdIndex();
+    for (RepairIndex r : result->selected) {
+      const CandidateSet& cands = result->candidates;
+      if (cands.num_members(r) < 2) continue;
+      auto it = idx.find(cands.target_id(r));
+      ASSERT_NE(it, idx.end()) << cands.target_id(r);
+      EXPECT_TRUE(result->repaired.at(it->second).IsValid(s.graph))
+          << "invalid join applied to " << cands.target_id(r);
     }
   }
 }

@@ -1,30 +1,15 @@
 // Scaling-regression smoke: the dense single-component workload — where
-// only intra-component parallelism can help — run at 1 and 8 threads.
+// only intra-component parallelism can help — run at 1 and 8 threads. The
+// 8-thread run must reproduce the 1-thread candidate set, stats and
+// selection exactly, per the repo's determinism contract.
 //
-// Two halves with different guarantees:
-//  1. Byte-identity (ALWAYS asserted): the 8-thread run must reproduce the
-//     1-thread candidate set and stats exactly, per the repo's determinism
-//     contract.
-//  2. Wall-clock speedup (hardware-gated): on a machine with enough real
-//     cores the 8-thread generation must beat the conservative floor. The
-//     floor deliberately sits far below the ≥4x bench target so scheduler
-//     noise on shared CI machines cannot flake it; the CI `scaling` stage
-//     enforces the real target against the committed bench artifacts.
-//
-// Environment knobs (for CI machines with few or contended cores):
-//   IDREPAIR_SCALING_SKIP_TIMING=1   skip the timing half entirely
-//   IDREPAIR_SCALING_MIN_SPEEDUP=F   override the speedup floor (e.g. 1.2)
-// The timing half also auto-skips when hardware_concurrency < 4 — a 1- or
-// 2-core container cannot physically produce a 2x 8-thread speedup.
+// Wall-clock speedup is deliberately not asserted here: this region runs
+// for tens of milliseconds, where scheduler noise dominates. The
+// `scaling` stage of scripts/ci.sh gates the speedup instead, on the
+// seconds-long giant-component table of bench_ext_partitioned.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <functional>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "gen/synthetic.h"
@@ -36,30 +21,14 @@
 namespace idrepair {
 namespace {
 
-double SecondsOf(const std::function<void()>& fn) {
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-// Min-of-N: the repetition least disturbed by the machine, same policy as
-// bench/bench_util.h.
-double MinSecondsOf(int reps, const std::function<void()>& fn) {
-  double best = SecondsOf(fn);
-  for (int i = 1; i < reps; ++i) best = std::min(best, SecondsOf(fn));
-  return best;
-}
-
 struct GenerationRun {
   CandidateSet candidates;
   GenerationStats stats;
 };
 
-TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
-  // One dense chain component: every start-time gap far below η, so the
-  // partitioner could not split it and all parallelism is intra-component.
+TEST(ScalingTest, GiantComponentIsByteIdenticalAcrossThreads) {
+  // One dense chain component: every start-time gap far below η, so all
+  // parallelism is intra-component.
   TransitionGraph graph = MakeRealLikeGraph();
   SyntheticConfig config;
   config.num_trajectories = 320;
@@ -93,30 +62,9 @@ TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
     ASSERT_TRUE(ComputeEffectiveness(out->candidates, o, set.size()).ok());
   };
 
-  // Decide up front whether the timing half will run, so the identity-only
-  // configuration does one run per width instead of min-of-3.
-  bool time_it = true;
-  const char* skip_env = std::getenv("IDREPAIR_SCALING_SKIP_TIMING");
-  if (skip_env != nullptr && *skip_env != '\0' &&
-      std::string(skip_env) != "0") {
-    GTEST_LOG_(INFO) << "timing half skipped (IDREPAIR_SCALING_SKIP_TIMING)";
-    time_it = false;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (time_it && hw < 4) {
-    GTEST_LOG_(INFO) << "timing half skipped: only " << hw
-                     << " hardware threads (need >= 4 for a meaningful "
-                        "8-thread speedup)";
-    time_it = false;
-  }
-  const int reps = time_it ? 3 : 1;
-
-  // ---- Half 1: byte-identity (always on) ----
   GenerationRun serial, parallel;
-  double serial_seconds =
-      MinSecondsOf(reps, [&] { run_generation(1, &serial); });
-  double parallel_seconds =
-      MinSecondsOf(reps, [&] { run_generation(8, &parallel); });
+  run_generation(1, &serial);
+  run_generation(8, &parallel);
   ASSERT_GT(serial.candidates.size(), 200u)
       << "workload too easy to be a scaling test";
 
@@ -166,23 +114,6 @@ TEST(ScalingTest, GiantComponentIsByteIdenticalAndScales) {
   ASSERT_TRUE(sel1.ok()) << sel1.status();
   ASSERT_TRUE(sel8.ok()) << sel8.status();
   EXPECT_EQ(*sel8, *sel1);
-
-  // ---- Half 2: wall-clock speedup (hardware-gated) ----
-  if (!time_it) return;
-  double floor = 2.0;
-  if (const char* env = std::getenv("IDREPAIR_SCALING_MIN_SPEEDUP");
-      env != nullptr && *env != '\0') {
-    floor = std::strtod(env, nullptr);
-  }
-  const double speedup = serial_seconds / parallel_seconds;
-  GTEST_LOG_(INFO) << "generation 1-thread " << serial_seconds
-                   << "s, 8-thread " << parallel_seconds << "s, speedup "
-                   << speedup << "x (floor " << floor << "x, hw " << hw
-                   << ")";
-  EXPECT_GE(speedup, floor)
-      << "8-thread generation regressed below the scaling floor; if this "
-         "machine is contended, set IDREPAIR_SCALING_MIN_SPEEDUP or "
-         "IDREPAIR_SCALING_SKIP_TIMING";
 }
 
 }  // namespace

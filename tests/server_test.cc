@@ -271,6 +271,58 @@ TEST(ServerE2ETest, RepairThroughDaemonMatchesLocalRunByteForByte) {
   (*srv)->Stop();
 }
 
+// Engine selector 1 named the retired partitioned engine, which was
+// byte-identical to core; it still decodes and runs the one batch engine,
+// so old clients keep getting the same bytes. Unknown selectors are still
+// refused at decode.
+TEST(ServerE2ETest, RetiredEngineSelectorRunsCoreAndUnknownIsRefused) {
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  auto client = RepairClient::Connect((*srv)->address());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE(
+      client->RegisterGraph(PaperRegisterRequest("paper", false)).ok());
+
+  // Two chain components: Table 1, and a renamed copy a day later.
+  std::vector<TrackingRecord> records = testutil::MakeTable1Records();
+  for (const TrackingRecord& r : testutil::MakeTable1Records()) {
+    records.push_back(TrackingRecord{"X" + r.id, r.loc, r.ts + 86400});
+  }
+  auto repair_with = [&](uint8_t engine) {
+    RepairRequest req;
+    req.name = "paper";
+    req.engine = engine;
+    req.batches.push_back(records);
+    return client->Repair(req);
+  };
+  auto core = repair_with(0);
+  auto retired = repair_with(1);
+  ASSERT_TRUE(core.ok()) << core.status();
+  ASSERT_TRUE(retired.ok()) << retired.status();
+  ASSERT_EQ(core->batches.size(), 1u);
+  ASSERT_EQ(retired->batches.size(), 1u);
+  const BatchReply& a = core->batches[0];
+  const BatchReply& b = retired->batches[0];
+  EXPECT_TRUE(a.completion.ok()) << a.completion;
+  EXPECT_EQ(a.num_rewrites, 2u);
+  // Every field but the wall-clock seconds_total.
+  EXPECT_EQ(b.completion, a.completion);
+  EXPECT_EQ(b.repaired, a.repaired);
+  EXPECT_EQ(b.num_candidates, a.num_candidates);
+  EXPECT_EQ(b.num_selected, a.num_selected);
+  EXPECT_EQ(b.num_rewrites, a.num_rewrites);
+  EXPECT_EQ(b.total_effectiveness, a.total_effectiveness);
+
+  auto unknown = repair_with(2);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("unknown engine selector"),
+            std::string::npos)
+      << unknown.status();
+  // The refusal is a clean reply, not a dropped connection.
+  EXPECT_TRUE(repair_with(0).ok());
+  (*srv)->Stop();
+}
+
 TEST(ServerE2ETest, MultiBatchRepairKeepsRequestOrder) {
   auto srv = StartLoopbackServer();
   ASSERT_TRUE(srv.ok()) << srv.status();

@@ -69,7 +69,6 @@ TEST(StatsJsonTest, KeyOrderIsPinned) {
       "seconds_gm", "seconds_generation", "seconds_selection",
       "seconds_total", "cpu_seconds_gm", "cpu_seconds_generation",
       "cpu_seconds_total", "cpu_clock_source", "threads_used",
-      "num_partitions", "largest_partition",
       // scheduler footprint (generation-phase dynamic claiming)
       "scheduler", "generation_blocks", "generation_workers",
       "generation_imbalance",
