@@ -62,7 +62,10 @@ Result<RepairResult> NeighborhoodRepairer::Repair(
   RepairResult result;
   result.stats.num_trajectories = set.size();
 
-  PredicateEvaluator pred(*graph_, options_.theta, options_.eta);
+  std::call_once(pred_once_, [&] {
+    pred_.emplace(*graph_, options_.theta, options_.eta);
+  });
+  const PredicateEvaluator& pred = *pred_;
   TrajectoryGraph gm(set, pred, options_);
 
   // Candidate isolated rewrites: relabel dirty vertex v to neighbor w's

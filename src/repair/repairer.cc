@@ -96,27 +96,48 @@ struct RepairInstruments {
 IdRepairer::IdRepairer(const TransitionGraph& graph, RepairOptions options)
     : graph_(&graph), options_(std::move(options)) {}
 
+IdRepairer::IdRepairer(const PredicateEvaluator& pred, RepairOptions options)
+    : graph_(&pred.graph()),
+      options_(std::move(options)),
+      borrowed_pred_(&pred) {}
+
+const PredicateEvaluator& IdRepairer::Predicates() const {
+  if (borrowed_pred_ != nullptr) return *borrowed_pred_;
+  std::call_once(pred_once_, [&] {
+    owned_pred_.emplace(*graph_, options_.theta, options_.eta);
+  });
+  return *owned_pred_;
+}
+
 Result<RepairResult> IdRepairer::Repair(const TrajectorySet& set,
                                         const RepairSelector* selector) const {
-  return RepairImpl(set, selector, nullptr, nullptr);
+  return RepairImpl(set, selector, nullptr);
 }
 
 Result<RepairResult> IdRepairer::RepairPrebuilt(
-    const TrajectorySet& set, const TrajectoryGraph& gm,
-    const PredicateEvaluator& pred) const {
+    const TrajectorySet& set, const TrajectoryGraph& gm) const {
   if (gm.num_vertices() != set.size()) {
     return Status::InvalidArgument(
         "RepairPrebuilt: graph vertex count disagrees with the set");
   }
-  return RepairImpl(set, nullptr, &gm, &pred);
+  return RepairImpl(set, nullptr, &gm);
 }
 
 Result<RepairResult> IdRepairer::RepairImpl(
     const TrajectorySet& set, const RepairSelector* selector,
-    const TrajectoryGraph* prebuilt,
-    const PredicateEvaluator* external_pred) const {
+    const TrajectoryGraph* prebuilt) const {
   IDREPAIR_RETURN_NOT_OK(options_.Validate());
   IDREPAIR_RETURN_NOT_OK(graph_->Validate());
+  if (borrowed_pred_ != nullptr &&
+      (borrowed_pred_->theta() != options_.theta ||
+       borrowed_pred_->eta() != options_.eta)) {
+    return Status::InvalidArgument(
+        "IdRepairer: the borrowed evaluator was built for theta=" +
+        std::to_string(borrowed_pred_->theta()) +
+        ", eta=" + std::to_string(borrowed_pred_->eta()) +
+        " but the options ask for theta=" + std::to_string(options_.theta) +
+        ", eta=" + std::to_string(options_.eta));
+  }
   obs::ApplyOptions(options_.obs);
   RepairInstruments& inst = RepairInstruments::Get();
   obs::TraceSpan run_span("repair.run");
@@ -166,16 +187,11 @@ Result<RepairResult> IdRepairer::RepairImpl(
   }
 
   // ---- Phase 1: candidate repair generation (§3.2) ----
-  // The evaluator (and its Floyd–Warshall closure) and the trajectory graph
-  // are built here unless the caller brought its own — RepairPrebuilt
-  // amortizes both across the streaming engine's component repairs.
-  if (external_pred == nullptr) {
-    std::call_once(pred_once_, [&] {
-      shared_pred_.emplace(*graph_, options_.theta, options_.eta);
-    });
-  }
-  const PredicateEvaluator& pred =
-      external_pred != nullptr ? *external_pred : *shared_pred_;
+  // The evaluator (and its reachability closure) is built on the first run
+  // unless it was borrowed; the trajectory graph is built here unless the
+  // caller brought its own — RepairPrebuilt amortizes it across the
+  // streaming engine's component repairs.
+  const PredicateEvaluator& pred = Predicates();
   std::optional<TrajectoryGraph> gm_storage;
   if (prebuilt == nullptr) {
     obs::PhaseScope phase("repair.gm", &result.stats.seconds_gm,

@@ -146,8 +146,16 @@ class Repairer {
 class IdRepairer : public Repairer {
  public:
   /// The graph must outlive the repairer. Options are validated at Repair
-  /// time.
+  /// time. The evaluator (and its reachability closure) is built on the
+  /// first Repair and shared by every later call.
   IdRepairer(const TransitionGraph& graph, RepairOptions options);
+
+  /// Borrows a prebuilt evaluator, which must outlive the repairer; the
+  /// graph is `pred.graph()`. Lets a caller that repairs many sets against
+  /// one graph (the daemon's registry bundles, the streaming engine) build
+  /// the closure once. Repair returns InvalidArgument when the evaluator's
+  /// θ/η differ from `options`.
+  IdRepairer(const PredicateEvaluator& pred, RepairOptions options);
 
   /// Runs the full pipeline on `set`. When `selector` is non-null it
   /// overrides options.selection (used by the Fig 15 harness to plug in the
@@ -162,13 +170,11 @@ class IdRepairer : public Repairer {
   /// Runs the pipeline downstream of Gm construction against a trajectory
   /// graph the caller already holds — the component-scoped entry point of
   /// the incremental streaming engine, which maintains `gm`'s adjacency
-  /// edge-by-edge and shares one PredicateEvaluator (and its Floyd–Warshall
-  /// closure) across every component repair. `gm` must be a graph over
-  /// exactly `set` (num_vertices == set.size()) built against the same θ/η
-  /// as `pred`, or InvalidArgument is returned. stats.seconds_gm stays 0.
+  /// edge-by-edge against the evaluator it lent this engine. `gm` must be a
+  /// graph over exactly `set` (num_vertices == set.size()), or
+  /// InvalidArgument is returned. stats.seconds_gm stays 0.
   Result<RepairResult> RepairPrebuilt(const TrajectorySet& set,
-                                      const TrajectoryGraph& gm,
-                                      const PredicateEvaluator& pred) const;
+                                      const TrajectoryGraph& gm) const;
 
   std::string_view name() const override { return "core"; }
 
@@ -185,22 +191,27 @@ class IdRepairer : public Repairer {
   const TransitionGraph& graph() const { return *graph_; }
 
  private:
-  /// Shared pipeline body: `prebuilt`/`external_pred` are both null on the
-  /// building path and both non-null on the RepairPrebuilt path.
+  /// Shared pipeline body: `prebuilt` is null on the building path and
+  /// non-null on the RepairPrebuilt path.
   Result<RepairResult> RepairImpl(const TrajectorySet& set,
                                   const RepairSelector* selector,
-                                  const TrajectoryGraph* prebuilt,
-                                  const PredicateEvaluator* external_pred) const;
+                                  const TrajectoryGraph* prebuilt) const;
+
+  /// The evaluator every run reads: the borrowed one, or the owned one
+  /// built on first use.
+  const PredicateEvaluator& Predicates() const;
 
   const TransitionGraph* graph_;
   RepairOptions options_;
   NormalizedEditSimilarity default_similarity_;
-  // Evaluator shared across Repair() calls: graph and θ/η are fixed per
-  // repairer, so the reachability build (the expensive part on city-scale
-  // graphs) happens once, not once per call — and Repair() is const and may
-  // run concurrently on one repairer, hence the call_once.
+  const PredicateEvaluator* borrowed_pred_ = nullptr;
+  // Owned evaluator of the graph constructor, shared across Repair() calls:
+  // graph and θ/η are fixed per repairer, so the reachability build (the
+  // expensive part on city-scale graphs) happens once, not once per call —
+  // and Repair() is const and may run concurrently on one repairer, hence
+  // the call_once.
   mutable std::once_flag pred_once_;
-  mutable std::optional<PredicateEvaluator> shared_pred_;
+  mutable std::optional<PredicateEvaluator> owned_pred_;
 };
 
 /// Applies `rewrites` to the records of `set` and regroups, yielding the

@@ -164,8 +164,8 @@ void IdRepairServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
+    for (Connection& conn : connections_) {
+      if (conn.thread.joinable()) conn.thread.join();
     }
     connections_.clear();
   }
@@ -200,8 +200,26 @@ AdmissionStats IdRepairServer::admission() const {
   return stats;
 }
 
+size_t IdRepairServer::connection_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return connections_.size();
+}
+
+void IdRepairServer::ReapConnections() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = connections_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void IdRepairServer::AcceptLoop() {
   while (!stopping()) {
+    ReapConnections();
     struct pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -215,7 +233,11 @@ void IdRepairServer::AcceptLoop() {
       break;
     }
     std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
+    Connection& conn = connections_.emplace_back();
+    conn.thread = std::thread([this, fd, &conn] {
+      ServeConnection(fd);
+      conn.done.store(true, std::memory_order_release);
+    });
   }
 }
 
@@ -366,8 +388,9 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
   if (req.use_corpus) options.resident_lig = bundle->lig.get();
 
   // Both wire engine selectors (0 = core, 1 = the retired partitioned
-  // engine, which produced byte-identical output) run the one batch engine.
-  IdRepairer engine(bundle->graph, options);
+  // engine, which produced byte-identical output) run the one batch engine,
+  // borrowing the bundle epoch's closure instead of rebuilding it.
+  IdRepairer engine(bundle->Predicates(), options);
 
   std::vector<std::optional<Result<RepairResult>>> slots(jobs);
   std::vector<TrajectorySet> sets(jobs);

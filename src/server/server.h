@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,10 +43,11 @@ struct ServerOptions {
 };
 
 /// `idrepaird`: the long-running repair daemon. One acceptor thread plus
-/// one thread per live connection; repair batches are dispatched onto the
-/// process-wide exec pool (ThreadPool::Default()) via TaskGroup, so the
-/// repair parallelism and its determinism guarantees are exactly the
-/// library's. All socket loops poll with short timeouts against an atomic
+/// one thread per live connection (the acceptor joins finished ones on
+/// every tick, so closed connections do not pile up); repair batches are
+/// dispatched onto the process-wide exec pool (ThreadPool::Default()) via
+/// TaskGroup, so the repair parallelism and its determinism guarantees are
+/// exactly the library's. All socket loops poll with short timeouts against an atomic
 /// stop flag, which keeps Stop() prompt and TSan-clean.
 class IdRepairServer {
  public:
@@ -78,11 +80,24 @@ class IdRepairServer {
 
   AdmissionStats admission() const;
 
+  /// Connection threads started and not yet joined: the live connections
+  /// plus those that closed since the acceptor's last tick.
+  size_t connection_threads() const;
+
  private:
+  /// One connection thread; `done` is set as its last act so the acceptor
+  /// can join it without blocking.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   explicit IdRepairServer(ServerOptions options);
 
   Status Listen();
   void AcceptLoop();
+  /// Joins and drops the connection threads that have finished.
+  void ReapConnections();
   void ServeConnection(int fd);
   /// Dispatches one decoded request; returns the reply payload (status
   /// envelope included).
@@ -103,8 +118,11 @@ class IdRepairServer {
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> connections_;  // joined by Stop()
+  mutable std::mutex conn_mu_;
+  // A list, so each thread's `done` flag keeps its address while others
+  // are erased. Finished ones are reaped by AcceptLoop, the rest joined by
+  // Stop().
+  std::list<Connection> connections_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

@@ -6,6 +6,7 @@
 
 #include "common/crc32.h"
 #include "fault/failpoint.h"
+#include "obs/metrics.h"
 
 namespace idrepair {
 namespace server {
@@ -41,6 +42,18 @@ std::vector<TrackingRecord> GraphBundle::CorpusRecords() const {
     }
   }
   return records;
+}
+
+const PredicateEvaluator& GraphBundle::Predicates() const {
+  std::call_once(pred_once_, [this] {
+    static obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+        "idrepair_server_closure_builds_total", obs::Stability::kRuntime,
+        "Reachability closures built for registry bundles (one per "
+        "repaired bundle epoch)");
+    pred_.emplace(graph, options.theta, options.eta);
+    if (obs::Enabled()) builds->Increment();
+  });
+  return *pred_;
 }
 
 namespace {

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "graph/transition_graph.h"
 #include "lig/length_indexed_grids.h"
 #include "repair/options.h"
+#include "repair/predicates.h"
 #include "server/wire_format.h"
 #include "traj/tracking_record.h"
 #include "traj/trajectory_set.h"
@@ -20,10 +23,11 @@ namespace server {
 
 /// One registry entry: a named transition graph, the repair options it was
 /// registered with, and (optionally) a resident corpus with its prebuilt
-/// LIG index. Bundles are immutable after construction and shared through
-/// shared_ptr<const GraphBundle> — the epoch mechanism of GraphRegistry:
-/// replacing an entry swaps the pointer, and in-flight repairs holding the
-/// old bundle finish on the old version.
+/// LIG index. Bundles are immutable after construction (apart from the
+/// evaluator Predicates() builds once, thread-safely, on first use) and
+/// shared through shared_ptr<const GraphBundle> — the epoch mechanism of
+/// GraphRegistry: replacing an entry swaps the pointer, and in-flight
+/// repairs holding the old bundle finish on the old version.
 struct GraphBundle {
   std::string name;
   /// Registry epoch of this bundle, monotonically increasing per name.
@@ -45,6 +49,18 @@ struct GraphBundle {
   /// Deterministic, and FromRecords of the result reproduces the corpus —
   /// the identity the snapshot byte-stability tests lean on.
   std::vector<TrackingRecord> CorpusRecords() const;
+
+  /// The evaluator over `graph` with the registered θ/η, which every repair
+  /// on this epoch borrows. Its reachability closure is built on the first
+  /// call (thread-safe), never at registration or snapshot load: those are
+  /// on the daemon's set-up path, and a tenant that never repairs never
+  /// pays for it. A re-registered name gets a new bundle and so a new
+  /// closure; in-flight repairs keep the old one through their BundlePtr.
+  const PredicateEvaluator& Predicates() const;
+
+ private:
+  mutable std::once_flag pred_once_;
+  mutable std::optional<PredicateEvaluator> pred_;
 };
 
 using BundlePtr = std::shared_ptr<const GraphBundle>;

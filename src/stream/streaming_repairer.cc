@@ -105,7 +105,7 @@ StreamingRepairer::StreamingRepairer(const TransitionGraph& graph,
       options_(std::move(options)),
       stream_options_(stream_options),
       pred_(graph, options_.theta, options_.eta),
-      inner_(graph, options_) {
+      inner_(pred_, options_) {
   obs::ApplyOptions(options_.obs);
   // Emitted fragments must at least be inert (no future record can join a
   // fragment whose start is more than η behind the watermark), so the
@@ -333,7 +333,7 @@ StreamingRepairer::CachedRepair* StreamingRepairer::RunComponentRepair(
   }
   TrajectoryGraph gm =
       TrajectoryGraph::FromAdjacency(cache->set, pred_, std::move(adj));
-  auto result = inner_.RepairPrebuilt(cache->set, gm, pred_);
+  auto result = inner_.RepairPrebuilt(cache->set, gm);
   ++generation_runs_;
   if (obs::Enabled()) StreamInstruments::Get().generation_runs->Increment();
   poll_fresh_records_ += cache->set.total_records();

@@ -251,7 +251,8 @@ class StreamingRepairer : public Repairer {
   size_t pending_records_ = 0;
 
   /// Shared across every component repair: the evaluator (with its
-  /// Floyd–Warshall closure, built once) and the inner pipeline.
+  /// reachability closure, built once) and the inner pipeline, which
+  /// borrows it.
   PredicateEvaluator pred_;
   IdRepairer inner_;
 

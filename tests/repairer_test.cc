@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <vector>
 
 #include "eval/metrics.h"
 #include "gen/real_like.h"
+#include "gen/scenario_catalog.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
+#include "repair/predicates.h"
 #include "repair/repairer.h"
+#include "repair/trajectory_graph.h"
 #include "test_util.h"
 
 namespace idrepair {
@@ -268,6 +273,85 @@ TEST(RepairerTest, ThetaOneDisablesAllMerging) {
   auto result = repairer.Repair(set);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->rewrites.empty());
+}
+
+// ----------------------------------------------------- borrowed evaluator
+
+/// Every observable of two runs: each candidate's members, target and ω,
+/// the selection, the rewrites, Ω and the repaired set.
+void ExpectSameRepair(const RepairResult& a, const RepairResult& b) {
+  ASSERT_EQ(a.candidates.size(), b.candidates.size());
+  for (size_t r = 0; r < a.candidates.size(); ++r) {
+    std::vector<TrajIndex> am(a.candidates.members(r).begin(),
+                              a.candidates.members(r).end());
+    std::vector<TrajIndex> bm(b.candidates.members(r).begin(),
+                              b.candidates.members(r).end());
+    EXPECT_EQ(am, bm) << "candidate " << r;
+    EXPECT_EQ(a.candidates.target_id(r), b.candidates.target_id(r))
+        << "candidate " << r;
+    EXPECT_EQ(a.candidates.effectiveness(r), b.candidates.effectiveness(r))
+        << "candidate " << r;
+  }
+  EXPECT_EQ(a.selected, b.selected);
+  EXPECT_EQ(a.rewrites, b.rewrites);
+  EXPECT_EQ(a.total_effectiveness, b.total_effectiveness);
+  ASSERT_EQ(a.repaired.size(), b.repaired.size());
+  for (TrajIndex i = 0; i < a.repaired.size(); ++i) {
+    EXPECT_EQ(a.repaired.at(i), b.repaired.at(i)) << "trajectory " << i;
+  }
+}
+
+TEST(RepairerTest, BorrowedEvaluatorIsByteIdenticalOnTheScenarioCatalog) {
+  const char* light = std::getenv("IDREPAIR_SCENARIO_LIGHT");
+  for (const ScenarioCatalogEntry& entry :
+       ScenarioCatalog(light != nullptr && light[0] == '1')) {
+    SCOPED_TRACE(entry.name);
+    auto dataset = BuildScenarioDataset(entry);
+    ASSERT_TRUE(dataset.ok()) << dataset.status();
+    TrajectorySet set = dataset->BuildObservedTrajectories();
+    PredicateEvaluator pred(dataset->graph, entry.theta, entry.eta);
+    for (SelectionAlgorithm algorithm :
+         {SelectionAlgorithm::kEmax, SelectionAlgorithm::kDmin}) {
+      SCOPED_TRACE("algo" + std::to_string(static_cast<int>(algorithm)));
+      RepairOptions options;
+      options.theta = entry.theta;
+      options.eta = entry.eta;
+      options.selection = algorithm;
+      auto owned = IdRepairer(dataset->graph, options).Repair(set);
+      IdRepairer borrowing(pred, options);
+      EXPECT_EQ(&borrowing.graph(), &dataset->graph);
+      auto borrowed = borrowing.Repair(set);
+      ASSERT_TRUE(owned.ok()) << owned.status();
+      ASSERT_TRUE(borrowed.ok()) << borrowed.status();
+      ExpectSameRepair(*owned, *borrowed);
+    }
+  }
+}
+
+TEST(RepairerTest, BorrowedEvaluatorThetaOrEtaMismatchIsRejected) {
+  TransitionGraph graph = MakePaperExampleGraph();
+  TrajectorySet set = MakeTable2Trajectories();
+  const RepairOptions options = RunningExampleOptions();
+  PredicateEvaluator pred(graph, options.theta, options.eta);
+  ASSERT_TRUE(IdRepairer(pred, options).Repair(set).ok());
+
+  RepairOptions other_theta = options;
+  other_theta.theta = options.theta - 1;
+  RepairOptions other_eta = options;
+  other_eta.eta = options.eta + 1;
+  for (const RepairOptions& mismatched : {other_theta, other_eta}) {
+    IdRepairer repairer(pred, mismatched);
+    auto result = repairer.Repair(set);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+    // The prebuilt-Gm entry point runs the same check.
+    TrajectoryGraph gm(set, pred, options);
+    auto prebuilt = repairer.RepairPrebuilt(set, gm);
+    ASSERT_FALSE(prebuilt.ok());
+    EXPECT_EQ(prebuilt.status().code(), StatusCode::kInvalidArgument)
+        << prebuilt.status();
+  }
 }
 
 // ----------------------------------------------------------- ApplyRewrites

@@ -11,19 +11,26 @@
 //  * admission control sheds whole requests with ResourceExhausted, and a
 //    per-request budget lands on the engines' graceful-degradation path;
 //  * garbage on the wire drops that connection with a clean Status and the
-//    daemon keeps serving everyone else.
+//    daemon keeps serving everyone else;
+//  * each bundle epoch builds its reachability closure once, on its first
+//    repair, and a re-registered name never reuses the old one;
+//  * closed connections' threads are reaped while the daemon runs.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "gen/scenario_catalog.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
 #include "graph/serialization.h"
@@ -74,6 +81,16 @@ uint64_t CounterValue(const std::string& name) {
     if (m.name == name) return m.counter_value;
   }
   return 0;
+}
+
+/// The process's kernel thread count ("Threads:" in /proc/self/status).
+int ProcThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 class TempDir {
@@ -542,6 +559,145 @@ TEST(ServerE2ETest, StatsReflectRegistryAndAdmission) {
   EXPECT_NE(prom->prometheus.find("idrepair_server_admitted_total"),
             std::string::npos)
       << prom->prometheus;
+  EXPECT_NE(prom->prometheus.find("idrepair_server_closure_builds_total"),
+            std::string::npos)
+      << prom->prometheus;
+  (*srv)->Stop();
+}
+
+constexpr char kClosureBuilds[] = "idrepair_server_closure_builds_total";
+
+// Re-registering a name with other θ/η makes a new bundle epoch with its
+// own closure: a repair on the new epoch equals a local run under the new
+// options, never one that reuses the old epoch's closure.
+TEST(ServerE2ETest, ReRegisteredThetaEtaGetAFreshClosure) {
+  obs::SetEnabled(true);
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  auto client = RepairClient::Connect((*srv)->address());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const std::vector<TrackingRecord> records = testutil::MakeTable1Records();
+  const RepairOptions old_options = testutil::RunningExampleOptions();
+  RepairOptions new_options = old_options;
+  new_options.theta = 4;
+  new_options.eta = 200;  // too short for GL03245<C> to join GL83248
+  const auto old_local =
+      LocalRepair(records, old_options, MakePaperExampleGraph());
+  const auto new_local =
+      LocalRepair(records, new_options, MakePaperExampleGraph());
+  ASSERT_NE(old_local, new_local);  // the options change must show
+
+  RepairRequest req;
+  req.name = "paper";
+  req.batches.push_back(records);
+  uint64_t builds = CounterValue(kClosureBuilds);
+  ASSERT_TRUE(client->RegisterGraph(PaperRegisterRequest("paper", false)).ok());
+  EXPECT_EQ(CounterValue(kClosureBuilds), builds);  // not at registration
+  auto first = client->Repair(req);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->batches.at(0).repaired, old_local);
+  EXPECT_EQ(CounterValue(kClosureBuilds), builds + 1);
+
+  RegisterGraphRequest again = PaperRegisterRequest("paper", false);
+  again.options = new_options;
+  auto version = client->RegisterGraph(again);
+  ASSERT_TRUE(version.ok()) << version.status();
+  EXPECT_EQ(version->version, 2u);
+  for (int i = 0; i < 3; ++i) {
+    auto reply = client->Repair(req);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_TRUE(reply->batches.at(0).completion.ok())
+        << reply->batches.at(0).completion;
+    EXPECT_EQ(reply->batches.at(0).repaired, new_local);
+  }
+  EXPECT_EQ(CounterValue(kClosureBuilds), builds + 2);
+  (*srv)->Stop();
+}
+
+// Two clients race the first repair of a fresh bundle (a 393-location graph
+// whose closure takes tens of milliseconds, so the requests overlap in the
+// build). Both get the local bytes, and the epoch built one closure for
+// every request it served.
+TEST(ServerE2ETest, RacingFirstRepairsShareOneClosurePerEpoch) {
+  obs::SetEnabled(true);
+  auto entry = FindScenario("ring_radial_zipf_ocr", /*light=*/true);
+  ASSERT_TRUE(entry.ok()) << entry.status();
+  auto dataset = BuildScenarioDataset(*entry);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  RepairOptions options;
+  options.theta = entry->theta;
+  options.eta = entry->eta;
+  const std::vector<TrackingRecord> records = dataset->ObservedRecords();
+  const auto local = LocalRepair(records, options, dataset->graph);
+
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  constexpr int kClients = 2;
+  constexpr int kRequestsPerClient = 3;
+  std::vector<RepairClient> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto client = RepairClient::Connect((*srv)->address());
+    ASSERT_TRUE(client.ok()) << client.status();
+    clients.push_back(std::move(client).value());
+  }
+  RegisterGraphRequest reg;
+  reg.name = "ring";
+  std::ostringstream graph_text;
+  ASSERT_TRUE(WriteTransitionGraph(graph_text, dataset->graph).ok());
+  reg.graph_text = graph_text.str();
+  reg.options = options;
+  uint64_t builds = CounterValue(kClosureBuilds);
+  ASSERT_TRUE(clients[0].RegisterGraph(reg).ok());
+
+  RepairRequest req;
+  req.name = "ring";
+  req.batches.push_back(records);
+  std::atomic<bool> go{false};
+  std::vector<std::vector<std::vector<TrackingRecord>>> replies(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        auto reply = clients[c].Repair(req);
+        if (!reply.ok() || reply->batches.size() != 1) return;
+        replies[c].push_back(reply->batches[0].repaired);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    ASSERT_EQ(replies[c].size(), static_cast<size_t>(kRequestsPerClient));
+    for (const auto& repaired : replies[c]) EXPECT_EQ(repaired, local);
+  }
+  EXPECT_EQ(CounterValue(kClosureBuilds), builds + 1);
+  (*srv)->Stop();
+}
+
+// The acceptor joins finished connection threads as it runs, so connection
+// churn leaves neither retained threads nor extra kernel threads behind.
+TEST(ServerE2ETest, ClosedConnectionThreadsAreReaped) {
+  auto srv = StartLoopbackServer();
+  ASSERT_TRUE(srv.ok()) << srv.status();
+  const int threads_before = ProcThreads();
+  ASSERT_GT(threads_before, 0);
+  for (int i = 0; i < 500; ++i) {
+    auto client = RepairClient::Connect((*srv)->address());
+    ASSERT_TRUE(client.ok()) << client.status();
+  }  // each client closes its socket here
+  constexpr int kSlack = 2;
+  auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (((*srv)->connection_threads() > 0 ||
+          ProcThreads() > threads_before + kSlack) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ((*srv)->connection_threads(), 0u);
+  EXPECT_LE(ProcThreads(), threads_before + kSlack);
   (*srv)->Stop();
 }
 
