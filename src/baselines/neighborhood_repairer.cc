@@ -62,10 +62,7 @@ Result<RepairResult> NeighborhoodRepairer::Repair(
   RepairResult result;
   result.stats.num_trajectories = set.size();
 
-  std::call_once(pred_once_, [&] {
-    pred_.emplace(*graph_, options_.theta, options_.eta);
-  });
-  const PredicateEvaluator& pred = *pred_;
+  PredicateEvaluator pred(*graph_, options_.theta, options_.eta);
   TrajectoryGraph gm(set, pred, options_);
 
   // Candidate isolated rewrites: relabel dirty vertex v to neighbor w's

@@ -1,14 +1,11 @@
 #ifndef IDREPAIR_BASELINES_NEIGHBORHOOD_REPAIRER_H_
 #define IDREPAIR_BASELINES_NEIGHBORHOOD_REPAIRER_H_
 
-#include <mutex>
-#include <optional>
 #include <string_view>
 #include <utility>
 
 #include "graph/transition_graph.h"
 #include "repair/options.h"
-#include "repair/predicates.h"
 #include "repair/repairer.h"
 #include "traj/trajectory_set.h"
 
@@ -54,11 +51,6 @@ class NeighborhoodRepairer : public Repairer {
  private:
   const TransitionGraph* graph_;
   RepairOptions options_;
-  // Built on the first Repair and shared by every later (possibly
-  // concurrent) call, as IdRepairer does: the reachability closure depends
-  // only on the graph and θ/η.
-  mutable std::once_flag pred_once_;
-  mutable std::optional<PredicateEvaluator> pred_;
 };
 
 }  // namespace idrepair

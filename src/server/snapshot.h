@@ -56,6 +56,7 @@ struct GraphBundle {
   /// on the daemon's set-up path, and a tenant that never repairs never
   /// pays for it. A re-registered name gets a new bundle and so a new
   /// closure; in-flight repairs keep the old one through their BundlePtr.
+  /// Once built, the closure stays resident for the bundle's lifetime.
   const PredicateEvaluator& Predicates() const;
 
  private:
