@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "gen/real_like.h"
 #include "lig/length_indexed_grids.h"
@@ -68,18 +70,31 @@ struct Workload {
   }
 };
 
+// Pairs come from LIG probes, exactly the pairs a Gm build hands to cex
+// (feasible, j > i). Uniformly random pairs almost all fail the η span
+// check before the merge and measure only that early exit.
 void BM_CexPredicate(benchmark::State& state) {
   const Workload& w = Workload::Get();
   PredicateEvaluator pred(w.dataset.graph, 4, 600);
-  Rng rng(2);
+  LengthIndexedGrids lig(w.set, LengthIndexedGrids::Options{4, 600, 60});
   std::vector<std::pair<TrajIndex, TrajIndex>> pairs;
-  for (int i = 0; i < 1024; ++i) {
-    pairs.emplace_back(rng.UniformIndex(w.set.size()),
-                       rng.UniformIndex(w.set.size()));
+  std::vector<TrajIndex> candidates;
+  for (TrajIndex i = 0; i < w.set.size(); ++i) {
+    if (!pred.InternallyFeasible(w.set.at(i))) continue;
+    candidates.clear();
+    lig.CollectCandidates(i, &candidates);
+    for (TrajIndex j : candidates) {
+      if (j > i && pred.InternallyFeasible(w.set.at(j))) {
+        pairs.emplace_back(i, j);
+      }
+    }
   }
+  Rng rng(2);
+  rng.Shuffle(pairs.begin(), pairs.end());
+  pairs.resize(std::min<size_t>(pairs.size(), 1024));
   size_t i = 0;
   for (auto _ : state) {
-    const auto& [a, b] = pairs[i++ & 1023];
+    const auto& [a, b] = pairs[i++ % pairs.size()];
     benchmark::DoNotOptimize(pred.Cex(w.set.at(a), w.set.at(b)));
   }
 }
@@ -109,6 +124,30 @@ void BM_LigQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LigQuery);
+
+// The same probes against the dynamic (per-cell map) form the streaming
+// engine maintains. Removing and re-inserting one indexed member switches a
+// built index to that form without changing its contents.
+void BM_LigQueryDynamic(benchmark::State& state) {
+  const Workload& w = Workload::Get();
+  LengthIndexedGrids::Options o{4, 600, 60};
+  LengthIndexedGrids lig(w.set, o);
+  for (TrajIndex i = 0; i < w.set.size(); ++i) {
+    if (lig.Remove(i)) {
+      lig.Insert(i);
+      break;
+    }
+  }
+  std::vector<TrajIndex> out;
+  TrajIndex k = 0;
+  for (auto _ : state) {
+    out.clear();
+    lig.CollectCandidates(k, &out);
+    benchmark::DoNotOptimize(out.size());
+    k = (k + 1) % w.set.size();
+  }
+}
+BENCHMARK(BM_LigQueryDynamic);
 
 void BM_TrajectoryGraphBuild(benchmark::State& state) {
   const Workload& w = Workload::Get();

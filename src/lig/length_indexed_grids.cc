@@ -247,20 +247,6 @@ bool LengthIndexedGrids::RemoveSpan(TrajIndex handle, size_t length,
   return true;
 }
 
-Span<const TrajIndex> LengthIndexedGrids::Bucket(size_t length,
-                                                 size_t start_bin,
-                                                 size_t span_off) const {
-  if (!dynamic_) {
-    size_t cell = CellIndex(length, start_bin, span_off);
-    return Span<const TrajIndex>(
-        cell_entries_.data() + cell_offsets_[cell],
-        cell_offsets_[cell + 1] - cell_offsets_[cell]);
-  }
-  auto it = dyn_cells_.find(std::make_tuple(length, start_bin, span_off));
-  if (it == dyn_cells_.end()) return Span<const TrajIndex>();
-  return Span<const TrajIndex>(it->second.data(), it->second.size());
-}
-
 size_t LengthIndexedGrids::MemoryBytes() const {
   size_t bytes = cell_offsets_.capacity() * sizeof(uint32_t) +
                  cell_entries_.capacity() * sizeof(TrajIndex);
@@ -302,15 +288,31 @@ void LengthIndexedGrids::CollectCandidatesSpan(
       num_bins_ - 1,
       static_cast<size_t>(std::max<Timestamp>(0, window_hi - base_time_) / tb));
   if (lo_bin > hi_bin) return;
-  for (size_t len = 1; len <= max_len; ++len) {
-    for (size_t sbin = lo_bin; sbin <= hi_bin; ++sbin) {
-      for (size_t off = 0; off < band_; ++off) {
-        size_t ebin = sbin + off;
-        if (ebin > hi_bin) break;  // candidate end beyond the window
-        for (TrajIndex c : Bucket(len, sbin, off)) {
-          out->push_back(c);
-        }
+  // Candidates come out in ascending (len, sbin, off) cell order, the
+  // bucket order within a cell, in both representations.
+  if (!dynamic_) {
+    // The cells (len, sbin, 0..off_max) are adjacent in the arena, so each
+    // (len, sbin) is one contiguous entry run.
+    for (size_t len = 1; len <= max_len; ++len) {
+      for (size_t sbin = lo_bin; sbin <= hi_bin; ++sbin) {
+        size_t off_max = std::min(band_ - 1, hi_bin - sbin);
+        uint32_t run_begin = cell_offsets_[CellIndex(len, sbin, 0)];
+        uint32_t run_end = cell_offsets_[CellIndex(len, sbin, off_max) + 1];
+        out->insert(out->end(), cell_entries_.begin() + run_begin,
+                    cell_entries_.begin() + run_end);
       }
+    }
+    return;
+  }
+  // Dynamic: lexicographic key order is the same cell order, so one seek per
+  // length walks every nonempty cell of the window.
+  for (size_t len = 1; len <= max_len; ++len) {
+    auto it = dyn_cells_.lower_bound(std::make_tuple(len, lo_bin, size_t{0}));
+    for (; it != dyn_cells_.end(); ++it) {
+      auto [cell_len, sbin, off] = it->first;
+      if (cell_len != len || sbin > hi_bin) break;
+      if (sbin + off > hi_bin) continue;  // candidate end beyond the window
+      out->insert(out->end(), it->second.begin(), it->second.end());
     }
   }
 }

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/span.h"
 #include "common/status.h"
 #include "traj/tracking_record.h"
 #include "traj/trajectory_set.h"
@@ -124,13 +123,6 @@ class LengthIndexedGrids {
   /// Number of trajectories actually indexed (those with length <= θ and
   /// span <= η).
   size_t num_indexed() const { return num_indexed_; }
-
-  /// The trajectories of length `length` starting in bin `start_bin` and
-  /// ending in bin `start_bin + span_off`, ascending. A view into the
-  /// index's storage, valid until the next mutating call (indefinitely for
-  /// a never-mutated index; DESIGN.md §9).
-  Span<const TrajIndex> Bucket(size_t length, size_t start_bin,
-                               size_t span_off) const;
 
   /// Heap bytes of the index storage (CSR arena, or the dynamic buckets).
   size_t MemoryBytes() const;

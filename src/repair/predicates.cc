@@ -48,21 +48,33 @@ bool PredicateEvaluator::InternallyFeasible(const Trajectory& t) const {
 bool PredicateEvaluator::Cex(const Trajectory& a, const Trajectory& b) const {
   // Line 1–2 of Algorithm 1: the length bound θ.
   if (a.size() + b.size() > theta_) return false;
-  // Cheap span pre-check before paying for the merge.
+  // Cheap span pre-check before walking the merge.
   Timestamp lo = std::min(a.start_time(), b.start_time());
   Timestamp hi = std::max(a.end_time(), b.end_time());
   if (hi - lo > eta_) return false;  // lines 3–5
-  auto merged = MergeChronological(a, b);
   // Lines 6–9: cross-trajectory adjacencies must be reachable within θ−1
   // hops. Equal timestamps are rejected — an entity cannot be captured at
   // two places at once, so no superset of {a, b} could ever satisfy jnb.
+  // The chronological merge is walked in place with one cursor per side:
+  // both point lists are sorted by (ts, loc), and taking `a` on a (ts, loc)
+  // tie visits exactly the (ts, loc, source) order of MergeChronological.
   uint32_t max_hops = static_cast<uint32_t>(theta_) - 1;
-  for (size_t i = 0; i + 1 < merged.size(); ++i) {
-    if (merged[i].source == merged[i + 1].source) continue;
-    if (merged[i].ts == merged[i + 1].ts) return false;
-    if (!reach_.Reachable(merged[i].loc, merged[i + 1].loc, max_hops)) {
-      return false;
+  const std::vector<TrajectoryPoint>& pa = a.points();
+  const std::vector<TrajectoryPoint>& pb = b.points();
+  const TrajectoryPoint* prev = nullptr;
+  bool prev_from_a = false;
+  for (size_t i = 0, j = 0; i < pa.size() || j < pb.size();) {
+    bool from_a = j == pb.size() ||
+                  (i < pa.size() && (pa[i].ts < pb[j].ts ||
+                                     (pa[i].ts == pb[j].ts &&
+                                      pa[i].loc <= pb[j].loc)));
+    const TrajectoryPoint& cur = from_a ? pa[i++] : pb[j++];
+    if (prev != nullptr && from_a != prev_from_a) {
+      if (prev->ts == cur.ts) return false;
+      if (!reach_.Reachable(prev->loc, cur.loc, max_hops)) return false;
     }
+    prev = &cur;
+    prev_from_a = from_a;
   }
   return true;
 }

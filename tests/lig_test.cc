@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "gen/real_like.h"
@@ -261,6 +262,139 @@ TEST(LigTest, BoundarySpansIndexAndProbeConsistently) {
   // Span probes do not self-exclude: the indexed bin_edge entry appears in
   // its own geometry's answer (streaming callers de-index first).
   EXPECT_EQ(got.count(idx.at("bin_edge")), 1u);
+}
+
+// ---- Probe equivalence: CSR and dynamic forms against brute force ----
+//
+// CollectCandidatesSpan reads contiguous cell runs in CSR form and one map
+// seek per length in dynamic form. Both must return exactly the documented
+// answer: every indexed member whose length fits beside the probe and whose
+// start and end bins lie in the probe's bin window, ordered by
+// (len, sbin, off, index).
+
+/// Time bin of `t`, clamped to bin 0 before the base time (the probe's
+/// documented window clamp).
+size_t BinOf(Timestamp t, Timestamp base, Timestamp tb) {
+  return t < base ? 0 : static_cast<size_t>((t - base) / tb);
+}
+
+std::vector<TrajIndex> ReferenceProbe(const TrajectorySet& set,
+                                      const LengthIndexedGrids::Options& o,
+                                      Timestamp base, size_t length,
+                                      Timestamp start, Timestamp end) {
+  std::vector<TrajIndex> out;
+  if (length == 0 || length >= o.theta) return out;
+  Timestamp window_lo = end - o.eta;
+  Timestamp window_hi = start + o.eta;
+  if (window_lo > window_hi) return out;
+  size_t lo_bin = BinOf(window_lo, base, o.time_bin);
+  size_t hi_bin = BinOf(window_hi, base, o.time_bin);
+  std::vector<std::tuple<size_t, size_t, size_t, TrajIndex>> keyed;
+  for (TrajIndex i = 0; i < set.size(); ++i) {
+    const Trajectory& t = set.at(i);
+    // Indexed members: nonempty, at most θ records, span at most η.
+    if (t.empty() || t.size() > o.theta || t.TimeSpan() > o.eta) continue;
+    if (t.size() > o.theta - length) continue;
+    size_t sbin = BinOf(t.start_time(), base, o.time_bin);
+    size_t ebin = BinOf(t.end_time(), base, o.time_bin);
+    if (sbin < lo_bin || ebin > hi_bin) continue;
+    keyed.emplace_back(t.size(), sbin, ebin - sbin, i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  for (const auto& key : keyed) out.push_back(std::get<3>(key));
+  return out;
+}
+
+/// Seeded random members over [base, base + window): lengths 1..θ+1 (some
+/// unindexable), timestamps on a 10 s grid so spans regularly start and end
+/// on bin edges, and step sizes that sometimes push the span past η.
+TrajectorySet MakeRandomSet(uint64_t seed, size_t n, size_t theta,
+                            Timestamp eta, Timestamp base, Timestamp window) {
+  Rng rng(seed);
+  std::vector<Trajectory> trajectories;
+  for (size_t k = 0; k < n; ++k) {
+    size_t len = static_cast<size_t>(rng.UniformInt(1, theta + 1));
+    Timestamp ts = base + 10 * rng.UniformInt(0, window / 10);
+    std::vector<TrajectoryPoint> points;
+    for (size_t p = 0; p < len; ++p) {
+      points.push_back({static_cast<LocationId>(rng.UniformInt(0, 9)), ts});
+      ts += 10 * rng.UniformInt(1, eta / (5 * static_cast<Timestamp>(theta)));
+    }
+    trajectories.emplace_back(std::to_string(k), std::move(points));
+  }
+  return TrajectorySet(std::move(trajectories));
+}
+
+TEST(LigTest, ProbesMatchBruteForceInBothForms) {
+  struct Case {
+    const char* name;
+    TrajectorySet set;
+    LengthIndexedGrids::Options options;
+  };
+  LengthIndexedGrids::Options city;  // the city workloads' knobs
+  city.theta = 8;
+  city.eta = 2400;
+  city.time_bin = 60;
+  LengthIndexedGrids::Options odd_bin = SmallOptions();
+  odd_bin.time_bin = 70;  // η is not a whole number of bins
+  std::vector<Case> cases;
+  cases.push_back({"boundary", MakeBoundarySet(), SmallOptions()});
+  cases.push_back({"small", MakeRandomSet(1, 300, 4, 600, 1000, 20000),
+                   SmallOptions()});
+  cases.push_back({"odd_bin", MakeRandomSet(2, 300, 4, 600, 0, 20000),
+                   odd_bin});
+  cases.push_back({"city", MakeRandomSet(3, 400, 8, 2400, 500, 40000), city});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const LengthIndexedGrids::Options& o = c.options;
+    LengthIndexedGrids csr(c.set, o);
+    Timestamp base = csr.ToParts().base_time;
+    Timestamp last_end = base;
+    LengthIndexedGrids dynamic = LengthIndexedGrids::Dynamic(o, base);
+    for (TrajIndex i = c.set.size(); i-- > 0;) {  // newest-first
+      const Trajectory& t = c.set.at(i);
+      dynamic.InsertSpan(i, t.size(), t.start_time(), t.end_time());
+      last_end = std::max(last_end, t.end_time());
+    }
+    ASSERT_EQ(dynamic.num_indexed(), csr.num_indexed());
+
+    // Probe geometries: every member's own, then crafted ones.
+    std::vector<std::tuple<size_t, Timestamp, Timestamp>> probes;
+    for (const Trajectory& t : c.set.trajectories()) {
+      probes.emplace_back(t.size(), t.start_time(), t.end_time());
+    }
+    Timestamp tb = o.time_bin;
+    for (size_t len = 1; len < o.theta; ++len) {  // includes θ−1
+      // Window starting before base_time.
+      probes.emplace_back(len, base, base + tb / 2);
+      probes.emplace_back(len, base - o.eta, base);
+      // hi_bin clipped at num_bins−1.
+      probes.emplace_back(len, last_end, last_end);
+      probes.emplace_back(len, last_end - tb, last_end + 3 * o.eta);
+      // Spans ending exactly on a bin edge, and one second either side.
+      for (Timestamp edge : {base + 10 * tb, base + 25 * tb}) {
+        for (Timestamp e : {edge - 1, edge, edge + 1}) {
+          probes.emplace_back(len, e - 2 * tb, e);
+          probes.emplace_back(len, e, e);
+        }
+      }
+    }
+    size_t nonempty = 0;
+    for (const auto& [len, start, end] : probes) {
+      std::vector<TrajIndex> want =
+          ReferenceProbe(c.set, o, base, len, start, end);
+      std::vector<TrajIndex> got_csr;
+      csr.CollectCandidatesSpan(len, start, end, &got_csr);
+      std::vector<TrajIndex> got_dyn;
+      dynamic.CollectCandidatesSpan(len, start, end, &got_dyn);
+      EXPECT_EQ(got_csr, want) << "csr probe len=" << len << " [" << start
+                               << ", " << end << "]";
+      EXPECT_EQ(got_dyn, want) << "dynamic probe len=" << len << " ["
+                               << start << ", " << end << "]";
+      if (!want.empty()) ++nonempty;
+    }
+    EXPECT_GT(nonempty, probes.size() / 4) << "probes must see entries";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "repair/predicates.h"
 #include "test_util.h"
@@ -115,6 +116,112 @@ TEST(CexCycleTest, SameLocationTwiceRequiresACycle) {
   ASSERT_TRUE(cyclic.AddEdge(2, 1).ok());
   PredicateEvaluator pred2(cyclic, 5, 1000);
   EXPECT_TRUE(pred2.Cex(a, b));
+}
+
+// The cex merge is walked in place with two cursors. The reference below is
+// Algorithm 1 over the materialized MergeChronological sequence; both must
+// agree on every pair, in both argument orders.
+bool ReferenceCex(const PredicateEvaluator& pred, const Trajectory& a,
+                  const Trajectory& b) {
+  if (a.size() + b.size() > pred.theta()) return false;
+  Timestamp lo = std::min(a.start_time(), b.start_time());
+  Timestamp hi = std::max(a.end_time(), b.end_time());
+  if (hi - lo > pred.eta()) return false;
+  auto merged = MergeChronological(a, b);
+  uint32_t max_hops = static_cast<uint32_t>(pred.theta()) - 1;
+  for (size_t i = 0; i + 1 < merged.size(); ++i) {
+    if (merged[i].source == merged[i + 1].source) continue;
+    if (merged[i].ts == merged[i + 1].ts) return false;
+    if (!pred.reachability().Reachable(merged[i].loc, merged[i + 1].loc,
+                                       max_hops)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectCexMatchesReference(const PredicateEvaluator& pred,
+                               const Trajectory& a, const Trajectory& b,
+                               bool want) {
+  EXPECT_EQ(ReferenceCex(pred, a, b), want);
+  EXPECT_EQ(pred.Cex(a, b), want);
+  EXPECT_EQ(pred.Cex(b, a), want);
+}
+
+TEST_F(RunningExampleFixture, CexWalkMatchesMergeOnCraftedPairs) {
+  const LocationId kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
+  // Equal-timestamp cross records at the same location.
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kB, 100}}),
+                            Trajectory("b", {{kB, 100}}), false);
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kA, 50}, {kB, 100}}),
+                            Trajectory("b", {{kB, 100}, {kD, 200}}), false);
+  // Equal-timestamp cross records at different locations; the (ts, loc) tie
+  // puts b's B@100 between a's A@50 and D@100.
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kA, 50}, {kD, 100}}),
+                            Trajectory("b", {{kB, 100}}), false);
+  // Fully interleaved: every adjacency is a cross one, all along A→B→C→D→E.
+  Trajectory odd("a", {{kA, 0}, {kC, 200}, {kE, 400}});
+  Trajectory even("b", {{kB, 100}, {kD, 300}});
+  ExpectCexMatchesReference(pred_, odd, even, true);
+  // Interleaved but one cross step runs backwards (D@300 → C@350).
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kA, 0}, {kD, 300}}),
+                            Trajectory("b", {{kB, 100}, {kC, 350}}), false);
+  // One span nested inside the other: C@200 fills B→D; A@200 cannot follow B.
+  Trajectory outer("o", {{kA, 0}, {kB, 100}, {kD, 300}, {kE, 400}});
+  ExpectCexMatchesReference(pred_, outer, Trajectory("n", {{kC, 200}}), true);
+  ExpectCexMatchesReference(pred_, outer, Trajectory("n", {{kA, 200}}), false);
+  // Disjoint spans: the one cross adjacency follows a's last record.
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kB, 0}, {kC, 100}}),
+                            Trajectory("b", {{kD, 200}}), true);
+  ExpectCexMatchesReference(pred_, Trajectory("a", {{kC, 0}, {kD, 100}}),
+                            Trajectory("b", {{kB, 200}}), false);
+}
+
+/// A random walk of up to `len` records on `g` from a random start, with
+/// timestamps on a 10 s grid so cross ties are common.
+Trajectory RandomWalk(const TransitionGraph& g, size_t len, Timestamp start,
+                      Rng& rng, const std::string& id) {
+  std::vector<TrajectoryPoint> points;
+  LocationId loc = static_cast<LocationId>(rng.UniformIndex(g.num_locations()));
+  Timestamp ts = start;
+  for (size_t k = 0; k < len; ++k) {
+    points.push_back({loc, ts});
+    auto next = g.OutNeighbors(loc);
+    if (next.size() == 0) break;
+    loc = next[rng.UniformIndex(next.size())];
+    ts += 10 * rng.UniformInt(1, 6);
+  }
+  return Trajectory(id, std::move(points));
+}
+
+TEST(CexDifferentialTest, CursorWalkMatchesMergeOnRandomFeasiblePairs) {
+  Rng rng(20180326);
+  TransitionGraph g = MakeGridNetwork(5, 5);
+  AddRandomEdges(g, 12, rng);  // back edges make some walks re-enterable
+  const size_t kTheta = 8;
+  PredicateEvaluator pred(g, kTheta, /*eta=*/600);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  size_t pairs = 0;
+  while (pairs < 20000) {
+    size_t la = static_cast<size_t>(rng.UniformInt(1, kTheta - 1));
+    size_t lb = static_cast<size_t>(rng.UniformInt(1, kTheta - la));
+    Trajectory a = RandomWalk(g, la, 10 * rng.UniformInt(0, 20), rng, "a");
+    Trajectory b = RandomWalk(g, lb, 10 * rng.UniformInt(0, 20), rng, "b");
+    if (!pred.InternallyFeasible(a) || !pred.InternallyFeasible(b)) continue;
+    ++pairs;
+    bool want = ReferenceCex(pred, a, b);
+    ASSERT_EQ(pred.Cex(a, b), want) << "pair " << pairs;
+    ASSERT_EQ(pred.Cex(b, a), want) << "pair " << pairs;
+    if (want) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both outcomes must be well represented for the comparison to mean much.
+  EXPECT_GT(accepted, pairs / 50);
+  EXPECT_GT(rejected, pairs / 50);
 }
 
 // -------------------------------------------------------------------- jnb
