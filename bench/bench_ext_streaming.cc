@@ -62,7 +62,8 @@ StreamOutcome RunStream(const Dataset& ds,
                         double horizon) {
   StreamOutcome out;
   Stopwatch watch;
-  StreamingRepairer stream(ds.graph, options, horizon);
+  StreamingRepairer stream(ds.graph, options,
+                           StreamOptions{.flush_horizon_multiplier = horizon});
   std::vector<Trajectory> emitted;
   size_t count = 0;
   for (const auto& r : records) {

@@ -35,7 +35,7 @@ int main() {
   options.eta = 600;
 
   StreamingRepairer stream(dataset->graph, options,
-                           /*flush_horizon_multiplier=*/3.0);
+                           StreamOptions{.flush_horizon_multiplier = 3.0});
   std::vector<Trajectory> emitted;
   size_t polls = 0;
   size_t max_pending = 0;

@@ -1,96 +1,9 @@
 #include "graph/transition_graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 namespace idrepair {
-
-TransitionGraph::TransitionGraph(const TransitionGraph& other)
-    : names_(other.names_),
-      name_to_id_(other.name_to_id_),
-      out_(other.out_),
-      in_(other.in_),
-      is_entrance_(other.is_entrance_),
-      is_exit_(other.is_exit_),
-      entrances_(other.entrances_),
-      exits_(other.exits_),
-      num_edges_(other.num_edges_),
-      can_reach_exit_(other.can_reach_exit_),
-      exit_reach_dirty_(
-          other.exit_reach_dirty_.load(std::memory_order_acquire)),
-      edge_bits_(other.edge_bits_),
-      matrix_stride_(other.matrix_stride_),
-      compact_matrix_(other.compact_matrix_),
-      compact_matrix_dirty_(
-          other.compact_matrix_dirty_.load(std::memory_order_acquire)) {}
-
-TransitionGraph& TransitionGraph::operator=(const TransitionGraph& other) {
-  if (this == &other) return *this;
-  names_ = other.names_;
-  name_to_id_ = other.name_to_id_;
-  out_ = other.out_;
-  in_ = other.in_;
-  is_entrance_ = other.is_entrance_;
-  is_exit_ = other.is_exit_;
-  entrances_ = other.entrances_;
-  exits_ = other.exits_;
-  num_edges_ = other.num_edges_;
-  can_reach_exit_ = other.can_reach_exit_;
-  exit_reach_dirty_.store(
-      other.exit_reach_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  edge_bits_ = other.edge_bits_;
-  matrix_stride_ = other.matrix_stride_;
-  compact_matrix_ = other.compact_matrix_;
-  compact_matrix_dirty_.store(
-      other.compact_matrix_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  return *this;
-}
-
-TransitionGraph::TransitionGraph(TransitionGraph&& other) noexcept
-    : names_(std::move(other.names_)),
-      name_to_id_(std::move(other.name_to_id_)),
-      out_(std::move(other.out_)),
-      in_(std::move(other.in_)),
-      is_entrance_(std::move(other.is_entrance_)),
-      is_exit_(std::move(other.is_exit_)),
-      entrances_(std::move(other.entrances_)),
-      exits_(std::move(other.exits_)),
-      num_edges_(other.num_edges_),
-      can_reach_exit_(std::move(other.can_reach_exit_)),
-      exit_reach_dirty_(
-          other.exit_reach_dirty_.load(std::memory_order_acquire)),
-      edge_bits_(std::move(other.edge_bits_)),
-      matrix_stride_(other.matrix_stride_),
-      compact_matrix_(std::move(other.compact_matrix_)),
-      compact_matrix_dirty_(
-          other.compact_matrix_dirty_.load(std::memory_order_acquire)) {}
-
-TransitionGraph& TransitionGraph::operator=(TransitionGraph&& other) noexcept {
-  if (this == &other) return *this;
-  names_ = std::move(other.names_);
-  name_to_id_ = std::move(other.name_to_id_);
-  out_ = std::move(other.out_);
-  in_ = std::move(other.in_);
-  is_entrance_ = std::move(other.is_entrance_);
-  is_exit_ = std::move(other.is_exit_);
-  entrances_ = std::move(other.entrances_);
-  exits_ = std::move(other.exits_);
-  num_edges_ = other.num_edges_;
-  can_reach_exit_ = std::move(other.can_reach_exit_);
-  exit_reach_dirty_.store(
-      other.exit_reach_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  edge_bits_ = std::move(other.edge_bits_);
-  matrix_stride_ = other.matrix_stride_;
-  compact_matrix_ = std::move(other.compact_matrix_);
-  compact_matrix_dirty_.store(
-      other.compact_matrix_dirty_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  return *this;
-}
 
 LocationId TransitionGraph::AddLocation(std::string name) {
   auto it = name_to_id_.find(name);
@@ -102,8 +15,7 @@ LocationId TransitionGraph::AddLocation(std::string name) {
   in_.emplace_back();
   is_entrance_.push_back(false);
   is_exit_.push_back(false);
-  exit_reach_dirty_.store(true, std::memory_order_relaxed);
-  compact_matrix_dirty_.store(true, std::memory_order_relaxed);
+  can_reach_exit_.Resize(names_.size());
   // The stride grows geometrically, so the O(stride^2) remap amortizes to
   // O(1) per insertion — city-scale generators add tens of thousands of
   // locations, and a compact remap per insertion would be cubic overall.
@@ -134,8 +46,10 @@ Status TransitionGraph::AddEdge(LocationId from, LocationId to) {
   out_[from].push_back(to);
   in_[to].push_back(from);
   ++num_edges_;
-  exit_reach_dirty_.store(true, std::memory_order_relaxed);
-  compact_matrix_dirty_.store(true, std::memory_order_relaxed);
+  // The new edge lets `from` reach an exit iff `to` already does.
+  if (can_reach_exit_.Test(to) && !can_reach_exit_.Test(from)) {
+    PropagateExitReach(from);
+  }
   return Status::OK();
 }
 
@@ -166,7 +80,7 @@ Status TransitionGraph::MarkExit(LocationId loc) {
   if (!is_exit_[loc]) {
     is_exit_[loc] = true;
     exits_.push_back(loc);
-    exit_reach_dirty_.store(true, std::memory_order_relaxed);
+    if (!can_reach_exit_.Test(loc)) PropagateExitReach(loc);
   }
   return Status::OK();
 }
@@ -176,25 +90,13 @@ bool TransitionGraph::HasEdge(LocationId from, LocationId to) const {
   return edge_bits_.Test(static_cast<size_t>(from) * matrix_stride_ + to);
 }
 
-const DynamicBitset& TransitionGraph::EdgeMatrix() const {
-  // Same double-checked pattern as CanReachExit: the acquire load pairs
-  // with the release store in RebuildCompactMatrix.
-  if (compact_matrix_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(compact_matrix_mutex_);
-    if (compact_matrix_dirty_.load(std::memory_order_relaxed)) {
-      RebuildCompactMatrix();
-    }
-  }
-  return compact_matrix_;
-}
-
-void TransitionGraph::RebuildCompactMatrix() const {
+DynamicBitset TransitionGraph::EdgeMatrix() const {
   size_t n = num_locations();
-  compact_matrix_.Assign(n * n, false);
+  DynamicBitset matrix(n * n);
   for (size_t u = 0; u < n; ++u) {
-    for (LocationId v : out_[u]) compact_matrix_.Set(u * n + v);
+    for (LocationId v : out_[u]) matrix.Set(u * n + v);
   }
-  compact_matrix_dirty_.store(false, std::memory_order_release);
+  return matrix;
 }
 
 std::optional<LocationId> TransitionGraph::FindLocation(
@@ -228,40 +130,19 @@ bool TransitionGraph::IsValidPathPrefix(
   return path.back() < num_locations() && CanReachExit(path.back());
 }
 
-bool TransitionGraph::CanReachExit(LocationId loc) const {
-  // Double-checked rebuild: the acquire load pairs with the release store
-  // at the end of RecomputeExitReachability, so a reader that sees the flag
-  // clear also sees the fully built cache. Racing dirty readers serialize
-  // through the mutex and the winner rebuilds once.
-  if (exit_reach_dirty_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(exit_reach_mutex_);
-    if (exit_reach_dirty_.load(std::memory_order_relaxed)) {
-      RecomputeExitReachability();
-    }
-  }
-  return loc < can_reach_exit_.size() && can_reach_exit_.Test(loc);
-}
-
-void TransitionGraph::RecomputeExitReachability() const {
-  size_t n = num_locations();
-  can_reach_exit_.Assign(n, false);
-  std::deque<LocationId> queue;
-  for (LocationId e : exits_) {
-    can_reach_exit_.Set(e);
-    queue.push_back(e);
-  }
-  // Reverse BFS from the exit set.
-  while (!queue.empty()) {
-    LocationId v = queue.front();
-    queue.pop_front();
+void TransitionGraph::PropagateExitReach(LocationId loc) {
+  // Reverse walk over in-edges from a location that has just become able to
+  // reach an exit. Only clear bits are visited and a set bit is never
+  // cleared, so each in-list is scanned at most once over the graph's life.
+  can_reach_exit_.Set(loc);
+  std::vector<LocationId> stack = {loc};
+  while (!stack.empty()) {
+    LocationId v = stack.back();
+    stack.pop_back();
     for (LocationId u : in_[v]) {
-      if (!can_reach_exit_.Test(u)) {
-        can_reach_exit_.Set(u);
-        queue.push_back(u);
-      }
+      if (can_reach_exit_.TestAndSet(u)) stack.push_back(u);  // was clear
     }
   }
-  exit_reach_dirty_.store(false, std::memory_order_release);
 }
 
 Status TransitionGraph::Validate() const {

@@ -1,8 +1,6 @@
 #ifndef IDREPAIR_GRAPH_TRANSITION_GRAPH_H_
 #define IDREPAIR_GRAPH_TRANSITION_GRAPH_H_
 
-#include <atomic>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,16 +25,6 @@ namespace idrepair {
 class TransitionGraph {
  public:
   TransitionGraph() = default;
-
-  // The reachability cache carries a mutex and an atomic dirty flag, so the
-  // compiler-generated copies are unavailable; these hand-written ones copy
-  // the graph data, snapshot the flag, and give the destination a fresh
-  // mutex. Copying/moving while another thread uses the source is not
-  // supported (the usual single-writer rule for mutations).
-  TransitionGraph(const TransitionGraph& other);
-  TransitionGraph& operator=(const TransitionGraph& other);
-  TransitionGraph(TransitionGraph&& other) noexcept;
-  TransitionGraph& operator=(TransitionGraph&& other) noexcept;
 
   /// Adds a location with a unique display name and returns its dense id.
   /// Adding a name that already exists returns the existing id.
@@ -98,13 +86,11 @@ class TransitionGraph {
   bool IsValidPathPrefix(std::span<const LocationId> path) const;
 
   /// True iff some exit is reachable from `loc` (including loc itself being
-  /// an exit). Amortized O(1): the reachability set is cached and rebuilt
-  /// after mutations. Thread-safe for concurrent const callers: the lazy
-  /// rebuild is guarded by a mutex with a double-checked atomic dirty flag,
-  /// so racing readers either see the published cache or serialize through
-  /// one rebuild. (Mutations remain single-threaded, like all non-const
-  /// methods.)
-  bool CanReachExit(LocationId loc) const;
+  /// an exit). O(1): the answer is kept exact by the mutators (see
+  /// can_reach_exit_), so this is a bounds check plus a bit test.
+  bool CanReachExit(LocationId loc) const {
+    return loc < can_reach_exit_.size() && can_reach_exit_.Test(loc);
+  }
 
   /// Checks structural sanity: at least one location, entrance and exit sets
   /// non-empty.
@@ -116,25 +102,14 @@ class TransitionGraph {
   /// from the edge list on load, catching payload tampering that a file
   /// checksum alone cannot attribute.
   ///
-  /// Lazily rebuilt from the adjacency lists (internal edge membership uses
-  /// a grown row stride, so this compact layout is a derived cache). The
-  /// returned reference is valid until the next mutation; the rebuild is
-  /// mutex-guarded, so concurrent const callers are safe.
-  const DynamicBitset& EdgeMatrix() const;
-
-  /// Materializes the lazily rebuilt caches now, so the sharing point is
-  /// explicit and no shard ever waits on the rebuild mutex. Concurrent
-  /// const readers are safe even without this call (CanReachExit guards its
-  /// rebuild), but the parallel engines still front-load it before
-  /// dispatch.
-  void PrepareForConcurrentUse() const {
-    if (num_locations() > 0) CanReachExit(0);
-  }
+  /// Computed on each call in O(n^2 / 64 + E) from the adjacency lists
+  /// (internal edge membership uses a grown row stride, see edge_bits_);
+  /// only snapshot encode and decode need this layout.
+  DynamicBitset EdgeMatrix() const;
 
  private:
-  void RecomputeExitReachability() const;
   void GrowMatrixStride();
-  void RebuildCompactMatrix() const;
+  void PropagateExitReach(LocationId loc);
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, LocationId> name_to_id_;
@@ -146,13 +121,13 @@ class TransitionGraph {
   std::vector<LocationId> exits_;
   size_t num_edges_ = 0;
 
-  // Lazily rebuilt caches (mutable: logically const accessors). The dirty
-  // flag is atomic and the rebuild itself runs under exit_reach_mutex_, so
-  // CanReachExit is safe from concurrent const readers; see the accessor
-  // comment.
-  mutable DynamicBitset can_reach_exit_;
-  mutable std::atomic<bool> exit_reach_dirty_{true};
-  mutable std::mutex exit_reach_mutex_;
+  // Bit v set iff some exit is reachable from v. Gt only grows (no edge or
+  // exit is ever removed), so a bit only ever goes from clear to set: the
+  // mutators keep it exact with a reverse walk that visits only clear bits,
+  // one O(V + E) walk over the graph's whole lifetime. Every member is
+  // written by mutators only, so concurrent const readers share the graph
+  // without synchronization and the implicit copies are correct.
+  DynamicBitset can_reach_exit_;
 
   // Dense edge membership for O(1) HasEdge, packed 1 bit per pair: n^2
   // bits instead of n^2 bytes, so the row scans of IsValidPath stay in
@@ -162,13 +137,6 @@ class TransitionGraph {
   // every insertion made building a 10k-vertex road network cubic in n.
   DynamicBitset edge_bits_;
   size_t matrix_stride_ = 0;
-
-  // The compact (from * n + to) matrix EdgeMatrix() exposes, derived from
-  // the adjacency lists on demand (same double-checked pattern as the
-  // exit-reach cache).
-  mutable DynamicBitset compact_matrix_;
-  mutable std::atomic<bool> compact_matrix_dirty_{true};
-  mutable std::mutex compact_matrix_mutex_;
 };
 
 }  // namespace idrepair

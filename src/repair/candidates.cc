@@ -192,11 +192,6 @@ Result<CandidateSet> GenerateCandidates(
       seeds.empty() ? 0 : (seeds.size() + grain - 1) / grain;
   std::vector<GenerationShard> slots(num_blocks);
 
-  if (num_blocks > 1 && threads > 1) {
-    // pck consults the transition graph's lazy exit-reachability cache;
-    // materialize it before the blocks share the graph across threads.
-    pred.graph().PrepareForConcurrentUse();
-  }
   ThreadPool* pool = &ThreadPool::Default();
   DynamicScheduleStats sched;
   IDREPAIR_RETURN_NOT_OK(ParallelForDynamic(

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "repair/candidates.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
@@ -45,10 +44,6 @@ struct RepairStats {
   double cpu_seconds_gm = 0.0;
   double cpu_seconds_generation = 0.0;  // cliques + jnb + scoring
   double cpu_seconds_total = 0.0;
-  // Which clock produced the cpu_seconds_* fields ("process_cputime" or the
-  // "std_clock" fallback), so CPU numbers from different platforms are
-  // never compared unknowingly. Constant within a process.
-  std::string cpu_clock_source = CpuStopwatch::SourceName();
   // Parallel-execution footprint: the decomposition width this run was
   // allowed (ExecOptions::ResolvedThreads, >= 1).
   int threads_used = 1;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/stopwatch.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 
@@ -142,8 +143,11 @@ void WriteStatsJson(std::ostream& out, std::string_view engine,
   w.Double(s.cpu_seconds_generation);
   w.Key("cpu_seconds_total");
   w.Double(s.cpu_seconds_total);
+  // Which clock produced the cpu_seconds_* fields ("process_cputime" or the
+  // "std_clock" fallback), so CPU numbers from different platforms are
+  // never compared unknowingly. Constant within a process.
   w.Key("cpu_clock_source");
-  w.String(s.cpu_clock_source);
+  w.String(CpuStopwatch::SourceName());
   w.Key("threads_used");
   w.Int(s.threads_used);
   w.EndObject();

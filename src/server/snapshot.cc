@@ -482,8 +482,9 @@ Result<BundlePtr> DecodeSnapshot(std::string_view bytes) {
     IDREPAIR_RETURN_NOT_OK(graph.MarkExit(loc));
   }
 
-  // Cross-check the stored edge matrix against the one the rebuilt graph
-  // maintains: catches payload tampering that kept the CRC consistent.
+  // Cross-check the stored edge matrix against the one computed from the
+  // rebuilt graph's edges: catches payload tampering that kept the CRC
+  // consistent.
   const DynamicBitset& matrix = graph.EdgeMatrix();
   if (matrix.size() != matrix_bits || matrix.words() != matrix_words) {
     return Status::Corruption(

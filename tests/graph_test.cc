@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/bitset.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/paths.h"
@@ -187,6 +192,216 @@ TEST(TransitionGraphTest, CanReachExitUpdatesAfterMutation) {
   EXPECT_TRUE(g.CanReachExit(b));
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   EXPECT_TRUE(g.CanReachExit(a));
+}
+
+// A TransitionGraph driven in lockstep with an independent test-side model
+// (dense adjacency plus exit flags), so the write-time invariants can be
+// checked against a from-scratch answer after every mutation.
+class ModelledGraph {
+ public:
+  static std::string Name(size_t loc) {
+    std::string name = "L";
+    name += std::to_string(loc);
+    return name;
+  }
+
+  size_t size() const { return exit_.size(); }
+  const TransitionGraph& graph() const { return graph_; }
+
+  void AddLocation() {
+    LocationId id = graph_.AddLocation(Name(size()));
+    ASSERT_EQ(id, size());
+    for (auto& row : adj_) row.push_back(false);
+    adj_.emplace_back(size() + 1, false);
+    exit_.push_back(false);
+  }
+
+  void ReAddLocation(LocationId loc) {
+    ASSERT_EQ(graph_.AddLocation(Name(loc)), loc);
+    ASSERT_EQ(graph_.num_locations(), size());
+  }
+
+  void AddEdge(LocationId from, LocationId to) {
+    ASSERT_TRUE(graph_.AddEdge(from, to).ok());
+    adj_[from][to] = true;
+  }
+
+  void MarkExit(LocationId loc) {
+    ASSERT_TRUE(graph_.MarkExit(loc).ok());
+    exit_[loc] = true;
+  }
+
+  void MarkEntrance(LocationId loc) {
+    ASSERT_TRUE(graph_.MarkEntrance(loc).ok());
+  }
+
+  bool HasInEdge(LocationId loc) const {
+    return std::any_of(adj_.begin(), adj_.end(),
+                       [&](const std::vector<bool>& row) { return row[loc]; });
+  }
+
+  // CanReachExit against a reverse BFS from the exit set, HasEdge against
+  // the model, and EdgeMatrix() bit (u * n + v) against HasEdge(u, v).
+  testing::AssertionResult Matches() const {
+    size_t n = size();
+    if (graph_.num_locations() != n) {
+      return testing::AssertionFailure() << "num_locations "
+                                         << graph_.num_locations();
+    }
+    std::vector<bool> reach = exit_;
+    std::deque<size_t> queue;
+    for (size_t v = 0; v < n; ++v) {
+      if (reach[v]) queue.push_back(v);
+    }
+    while (!queue.empty()) {
+      size_t v = queue.front();
+      queue.pop_front();
+      for (size_t u = 0; u < n; ++u) {
+        if (adj_[u][v] && !reach[u]) {
+          reach[u] = true;
+          queue.push_back(u);
+        }
+      }
+    }
+    DynamicBitset matrix = graph_.EdgeMatrix();
+    if (matrix.size() != n * n) {
+      return testing::AssertionFailure() << "EdgeMatrix size "
+                                         << matrix.size() << " for n=" << n;
+    }
+    for (LocationId u = 0; u < n; ++u) {
+      if (graph_.CanReachExit(u) != reach[u]) {
+        return testing::AssertionFailure() << "CanReachExit(" << u << ")";
+      }
+      for (LocationId v = 0; v < n; ++v) {
+        bool edge = graph_.HasEdge(u, v);
+        if (edge != adj_[u][v]) {
+          return testing::AssertionFailure()
+                 << "HasEdge(" << u << ", " << v << ")";
+        }
+        if (matrix.Test(u * n + v) != edge) {
+          return testing::AssertionFailure()
+                 << "EdgeMatrix bit (" << u << ", " << v << ")";
+        }
+      }
+    }
+    return testing::AssertionSuccess();
+  }
+
+ private:
+  TransitionGraph graph_;
+  std::vector<std::vector<bool>> adj_;
+  std::vector<bool> exit_;
+};
+
+// How often MarkExit hit a location with and without in-edges, so the test
+// can require both orders (exit before / after its in-edges) to occur.
+struct ExitOrderCounts {
+  size_t before_in_edges = 0;
+  size_t after_in_edges = 0;
+};
+
+// One random mutation: a new or repeated location, an edge (fresh, repeated
+// or a self-loop), an exit or an entrance. Grows the graph up to `target`
+// locations.
+void RandomMutation(ModelledGraph& mg, size_t target, Rng& rng,
+                    std::vector<std::pair<LocationId, LocationId>>& edges,
+                    ExitOrderCounts& counts) {
+  if (mg.size() == 0 || (mg.size() < target && rng.Bernoulli(0.3))) {
+    mg.AddLocation();
+    return;
+  }
+  auto pick = [&] {
+    return static_cast<LocationId>(rng.UniformIndex(mg.size()));
+  };
+  double r = rng.UniformReal();
+  if (r < 0.05) {
+    mg.ReAddLocation(pick());
+  } else if (r < 0.15 && !edges.empty()) {
+    auto [from, to] = edges[rng.UniformIndex(edges.size())];
+    mg.AddEdge(from, to);  // duplicate
+  } else if (r < 0.22) {
+    LocationId loc = pick();
+    mg.AddEdge(loc, loc);  // self-loop
+  } else if (r < 0.75) {
+    LocationId from = pick();
+    LocationId to = pick();
+    mg.AddEdge(from, to);
+    edges.emplace_back(from, to);
+  } else if (r < 0.88) {
+    LocationId loc = pick();
+    ++(mg.HasInEdge(loc) ? counts.after_in_edges : counts.before_in_edges);
+    mg.MarkExit(loc);
+  } else {
+    mg.MarkEntrance(pick());
+  }
+}
+
+TEST(TransitionGraphTest, WriteTimeInvariantsHoldUnderRandomInterleaving) {
+  // Sizes past 64 make the edge-bit stride grow mid-sequence.
+  for (size_t target : {1u, 7u, 30u, 70u, 140u}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "target=" << target
+                                      << " seed=" << seed);
+      Rng rng(seed * 1000 + target);
+      ModelledGraph mg;
+      std::vector<std::pair<LocationId, LocationId>> edges;
+      ExitOrderCounts counts;
+      size_t ops = 4 * target + 8;
+      for (size_t op = 0; op < ops; ++op) {
+        RandomMutation(mg, target, rng, edges, counts);
+        ASSERT_TRUE(mg.Matches()) << "after op " << op;
+      }
+      EXPECT_EQ(mg.size(), target);
+      if (target >= 30) {
+        EXPECT_GT(counts.before_in_edges, 0u);
+        EXPECT_GT(counts.after_in_edges, 0u);
+      }
+    }
+  }
+}
+
+TEST(TransitionGraphTest, CopiesDivergeIndependently) {
+  Rng rng(77);
+  ModelledGraph original;
+  std::vector<std::pair<LocationId, LocationId>> edges;
+  ExitOrderCounts counts;
+  for (int op = 0; op < 60; ++op) {
+    RandomMutation(original, 40, rng, edges, counts);
+  }
+  ASSERT_TRUE(original.Matches());
+
+  // Copy construction and copy assignment over a non-empty graph.
+  ModelledGraph copied = original;
+  ModelledGraph assigned;
+  assigned.AddLocation();
+  assigned = original;
+  auto original_edges = edges;
+  auto copied_edges = edges;
+  auto assigned_edges = edges;
+  Rng rng_original(1);
+  Rng rng_copied(2);
+  Rng rng_assigned(3);
+  for (int op = 0; op < 200; ++op) {
+    RandomMutation(original, 50, rng_original, original_edges, counts);
+    RandomMutation(copied, 90, rng_copied, copied_edges, counts);
+    RandomMutation(assigned, 70, rng_assigned, assigned_edges, counts);
+    ASSERT_TRUE(original.Matches()) << "original after op " << op;
+    ASSERT_TRUE(copied.Matches()) << "copy after op " << op;
+    ASSERT_TRUE(assigned.Matches()) << "assigned after op " << op;
+  }
+
+  // A targeted divergence on one shared location: a fresh exit reached
+  // through a new edge in the copy only.
+  LocationId shared = 0;
+  copied.AddLocation();
+  LocationId copy_exit = static_cast<LocationId>(copied.size() - 1);
+  copied.MarkExit(copy_exit);
+  copied.AddEdge(shared, copy_exit);
+  EXPECT_TRUE(copied.graph().CanReachExit(shared));
+  EXPECT_TRUE(copied.graph().HasEdge(shared, copy_exit));
+  EXPECT_FALSE(original.graph().HasEdge(shared, copy_exit));
+  EXPECT_TRUE(original.Matches());
+  EXPECT_TRUE(copied.Matches());
 }
 
 // ------------------------------------------------------ ReachabilityMatrix
