@@ -175,6 +175,25 @@ void BM_CliqueEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_CliqueEnumeration);
 
+// jnb over the merged record sequences of enumerated cliques, as candidate
+// generation calls it once per clique: each adjacency is a Gt HasEdge.
+void BM_Jnb(benchmark::State& state) {
+  const Workload& w = Workload::Get();
+  PredicateEvaluator pred(w.dataset.graph, 4, 600);
+  TrajectoryGraph gm(w.set, pred, w.options);
+  std::vector<std::vector<MergedPoint>> merged;
+  CliqueEnumerator enumerator(w.set, gm, pred, w.options);
+  enumerator.Enumerate(
+      [&](const std::vector<TrajIndex>&, const std::vector<MergedPoint>& m) {
+        if (merged.size() < 1024) merged.push_back(m);
+      });
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pred.JnbMerged(merged[i++ % merged.size()]));
+  }
+}
+BENCHMARK(BM_Jnb);
+
 void BM_FullRepair(benchmark::State& state) {
   const Workload& w = Workload::Get();
   IdRepairer repairer(w.dataset.graph, w.options);

@@ -2,10 +2,11 @@
 // gen/scenario_catalog.h, timed end to end — dataset generation (road
 // network + traffic + error model) and a single-thread core repair — with
 // the repair-quality outcome of each scenario next to the timings. The
-// non-timing columns (vertices, records, erroneous, candidates, f_measure,
-// set_dist) are pure functions of the catalog seeds, so the CI scenario
-// stage gates them exactly against the committed BENCH_scenarios.json;
-// timings are report-only.
+// non-timing columns (vertices, records, erroneous, candidates,
+// gm_cex_evals, f_measure, set_dist) are pure functions of the catalog
+// seeds, so the CI scenario stage gates them exactly against the committed
+// BENCH_scenarios.json; timings are report-only. gm_cex_evals is the Gm
+// build's cex call count, so a lost probe pruning fails the gate on any box.
 
 #include <iostream>
 #include <string>
@@ -26,7 +27,8 @@ int main() {
   report.Title("Scenario catalog — generation and core repair (min of " +
                std::to_string(kRepetitions) + ")");
   report.Header({"scenario", "vertices", "records", "erroneous", "gen_ms",
-                 "repair_ms", "candidates", "f_measure", "set_dist"});
+                 "repair_ms", "candidates", "gm_cex_evals", "f_measure",
+                 "set_dist"});
 
   for (const ScenarioCatalogEntry& entry : ScenarioCatalog(/*light=*/false)) {
     double gen_s = MinOverReps([&](int) {
@@ -75,11 +77,13 @@ int main() {
                 std::to_string(metrics.num_erroneous), FmtMs(gen_s),
                 FmtMs(repair_s),
                 std::to_string(result->candidates.size()),
+                std::to_string(result->stats.cex_evaluations),
                 Fmt(metrics.f_measure, 4), Fmt(set_dist, 4)});
   }
 
-  std::cout << "\n(vertices/records/erroneous/candidates/f_measure/set_dist "
-               "are deterministic per catalog seed and gated by scripts/"
-               "ci.sh; gen_ms and repair_ms are report-only)\n";
+  std::cout << "\n(vertices/records/erroneous/candidates/gm_cex_evals/"
+               "f_measure/set_dist are deterministic per catalog seed and "
+               "gated by scripts/ci.sh; gen_ms and repair_ms are "
+               "report-only)\n";
   return 0;
 }

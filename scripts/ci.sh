@@ -48,16 +48,16 @@ echo "==> scenario: city-scale & adversarial workload matrix"
 # engines, metamorphic + quality oracles) ran inside tier-1; re-run it by
 # name so a scenario regression reports as its own stage, then replay the
 # scenario bench and hold its deterministic columns (vertices, records,
-# erroneous, candidates, f_measure, set_dist) exactly to the committed
-# BENCH_scenarios.json — those are pure functions of the catalog seeds, so
-# any drift is a generator or repair-quality change that must be re-pinned
-# deliberately. Timing columns are report-only.
+# erroneous, candidates, gm_cex_evals, f_measure, set_dist) exactly to the
+# committed BENCH_scenarios.json — those are pure functions of the catalog
+# seeds, so any drift is a generator, repair-quality or Gm-probe work change
+# that must be re-pinned deliberately. Timing columns are report-only.
 ctest --test-dir "$BUILD_DIR" -R 'scenario_test' --output-on-failure
 IDREPAIR_BENCH_JSON_DIR="$BENCH_JSON_DIR" "$BUILD_DIR/bench/bench_scenarios"
 python3 - "$BENCH_JSON_DIR/BENCH_scenarios.json" BENCH_scenarios.json <<'EOF'
 import json, sys
-GATED = ["vertices", "records", "erroneous", "candidates", "f_measure",
-         "set_dist"]
+GATED = ["vertices", "records", "erroneous", "candidates", "gm_cex_evals",
+         "f_measure", "set_dist"]
 current = {r["scenario"]: r for t in json.load(open(sys.argv[1]))["tables"]
            for r in t["rows"]}
 baseline = {r["scenario"]: r for t in json.load(open(sys.argv[2]))["tables"]

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/span.h"
 #include "graph/transition_graph.h"
 #include "graph/types.h"
 
@@ -67,6 +68,16 @@ class ReachabilityMatrix {
     assert(dense() || max_hops <= bound_);
     uint32_t h = Hops(from, to);
     return h != kUnreachable && h <= max_hops;
+  }
+
+  /// Bounded mode only: the vertices reachable from `from` by a non-empty
+  /// walk of at most bound() edges, ascending by id — `from` itself only
+  /// when a cycle through it fits the bound. A view into the ball CSR,
+  /// valid for the matrix's lifetime.
+  Span<const LocationId> Ball(LocationId from) const {
+    assert(!dense());
+    return Span<const LocationId>(targets_.data() + offsets_[from],
+                                  offsets_[from + 1] - offsets_[from]);
   }
 
   size_t num_locations() const { return n_; }

@@ -1,6 +1,5 @@
 #include "graph/transition_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace idrepair {
@@ -16,33 +15,14 @@ LocationId TransitionGraph::AddLocation(std::string name) {
   is_entrance_.push_back(false);
   is_exit_.push_back(false);
   can_reach_exit_.Resize(names_.size());
-  // The stride grows geometrically, so the O(stride^2) remap amortizes to
-  // O(1) per insertion — city-scale generators add tens of thousands of
-  // locations, and a compact remap per insertion would be cubic overall.
-  if (names_.size() > matrix_stride_) GrowMatrixStride();
   return id;
-}
-
-void TransitionGraph::GrowMatrixStride() {
-  size_t stride = std::max<size_t>(64, matrix_stride_ * 2);
-  stride = std::max(stride, names_.size());
-  // Rebuilding from the adjacency lists is O(stride^2 / 64 + E) — cheaper
-  // and simpler than remapping bit rows between layouts.
-  DynamicBitset grown(stride * stride);
-  for (size_t u = 0; u < out_.size(); ++u) {
-    for (LocationId v : out_[u]) grown.Set(u * stride + v);
-  }
-  edge_bits_ = std::move(grown);
-  matrix_stride_ = stride;
 }
 
 Status TransitionGraph::AddEdge(LocationId from, LocationId to) {
   if (from >= num_locations() || to >= num_locations()) {
     return Status::InvalidArgument("AddEdge: location id out of range");
   }
-  size_t cell = static_cast<size_t>(from) * matrix_stride_ + to;
-  if (edge_bits_.Test(cell)) return Status::OK();  // idempotent
-  edge_bits_.Set(cell);
+  if (HasEdge(from, to)) return Status::OK();  // idempotent
   out_[from].push_back(to);
   in_[to].push_back(from);
   ++num_edges_;
@@ -83,11 +63,6 @@ Status TransitionGraph::MarkExit(LocationId loc) {
     if (!can_reach_exit_.Test(loc)) PropagateExitReach(loc);
   }
   return Status::OK();
-}
-
-bool TransitionGraph::HasEdge(LocationId from, LocationId to) const {
-  if (from >= num_locations() || to >= num_locations()) return false;
-  return edge_bits_.Test(static_cast<size_t>(from) * matrix_stride_ + to);
 }
 
 DynamicBitset TransitionGraph::EdgeMatrix() const {

@@ -46,8 +46,17 @@ class TransitionGraph {
   size_t num_locations() const { return out_.size(); }
   size_t num_edges() const { return num_edges_; }
 
-  /// True iff the directed edge (from, to) exists.
-  bool HasEdge(LocationId from, LocationId to) const;
+  /// True iff the directed edge (from, to) exists. A scan of `from`'s
+  /// out-list, the graph's only edge-membership store: road-network
+  /// out-degrees are single digits, so the scan is a few compares. An
+  /// out-of-range `to` is in no list.
+  bool HasEdge(LocationId from, LocationId to) const {
+    if (from >= out_.size()) return false;
+    for (LocationId v : out_[from]) {
+      if (v == to) return true;
+    }
+    return false;
+  }
 
   /// Out-neighbors of `loc` in insertion order. View into graph-owned
   /// storage; valid until the next AddLocation/AddEdge (DESIGN.md §9).
@@ -102,17 +111,17 @@ class TransitionGraph {
   /// from the edge list on load, catching payload tampering that a file
   /// checksum alone cannot attribute.
   ///
-  /// Computed on each call in O(n^2 / 64 + E) from the adjacency lists
-  /// (internal edge membership uses a grown row stride, see edge_bits_);
-  /// only snapshot encode and decode need this layout.
+  /// Computed on each call in O(n^2 / 64 + E) from the out-lists; only
+  /// snapshot encode and decode need this layout.
   DynamicBitset EdgeMatrix() const;
 
  private:
-  void GrowMatrixStride();
   void PropagateExitReach(LocationId loc);
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, LocationId> name_to_id_;
+  // Adjacency in insertion order. out_ is the one edge-membership store:
+  // HasEdge scans it and EdgeMatrix() is computed from it.
   std::vector<std::vector<LocationId>> out_;
   std::vector<std::vector<LocationId>> in_;
   std::vector<bool> is_entrance_;
@@ -128,15 +137,6 @@ class TransitionGraph {
   // written by mutators only, so concurrent const readers share the graph
   // without synchronization and the implicit copies are correct.
   DynamicBitset can_reach_exit_;
-
-  // Dense edge membership for O(1) HasEdge, packed 1 bit per pair: n^2
-  // bits instead of n^2 bytes, so the row scans of IsValidPath stay in
-  // cache even for graphs with a few thousand locations. Rows are laid out
-  // with a geometrically grown stride (cell = from * matrix_stride_ + to)
-  // so AddLocation is amortized O(1); remapping a compact n x n matrix on
-  // every insertion made building a 10k-vertex road network cubic in n.
-  DynamicBitset edge_bits_;
-  size_t matrix_stride_ = 0;
 };
 
 }  // namespace idrepair

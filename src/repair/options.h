@@ -61,8 +61,9 @@ struct RepairOptions {
 
   /// Grid bin width of the LIG index, seconds.
   Timestamp time_bin = 60;
-  /// Use the Length-Indexed Grids index when building the trajectory graph
-  /// (§5.1). Off = exhaustive pairwise cex.
+  /// Use an index when building the trajectory graph: the Length-Indexed
+  /// Grids (§5.1) on dense-reachability graphs, the location-keyed probe
+  /// past 512 locations (see TrajectoryGraph). Off = exhaustive pairwise cex.
   bool use_lig = true;
   /// Use minimum-cover-prefix pruning during clique generation (§5.2).
   bool use_mcp_pruning = true;
@@ -84,7 +85,8 @@ struct RepairOptions {
   /// A prebuilt LIG index the engine may reuse instead of rebuilding one
   /// per Repair() call — the daemon's load-not-rebuild path for repairs
   /// over a registered resident corpus. Not owned (same contract as
-  /// `similarity`). The index is consulted only when the set being
+  /// `similarity`). Only the dense-reachability Gm probe reads a LIG, and
+  /// there the index is consulted only when the set being
   /// repaired *is* the object the index was built over (pointer identity
   /// against LengthIndexedGrids::indexed_set()) and the θ/η/time_bin knobs
   /// match; any mismatch silently falls back to a fresh build, so results

@@ -19,8 +19,114 @@ namespace {
 /// build for every thread count.
 struct ShardScratch {
   std::vector<std::pair<TrajIndex, TrajIndex>> edges;
+  std::vector<TrajIndex> probe;  // LIG candidates of the current vertex
   size_t candidate_pairs = 0;
   size_t cex_evaluations = 0;
+};
+
+/// Runs probe(i, &scratch) for every feasible vertex i, sharded over i.
+/// Shard boundaries depend only on (n, threads, grain), never on timing.
+template <typename Probe>
+void ProbeShards(const std::vector<std::pair<size_t, size_t>>& shards,
+                 const std::vector<bool>& feasible,
+                 std::vector<ShardScratch>* scratch, const Probe& probe) {
+  (void)ParallelFor(&ThreadPool::Default(), shards,
+                    [&](size_t shard, size_t begin, size_t end) {
+                      obs::TraceSpan span("gm.shard", shard);
+                      ShardScratch& out = (*scratch)[shard];
+                      for (size_t i = begin; i < end; ++i) {
+                        if (feasible[i]) probe(static_cast<TrajIndex>(i), &out);
+                      }
+                      return Status::OK();
+                    });
+}
+
+/// The Gm probe of a graph whose reachability is the bounded ball CSR. Each
+/// pair is handled once, from its earlier trajectory `a` in (start, index)
+/// order, so b starts at or after a:
+///
+///  * overlapping spans (start(b) <= end(a)) run the full cex walk;
+///  * disjoint spans (start(b) > end(a)) merge as all of a, then all of b,
+///    so cex reduces to |a|+|b| <= θ, end(b) − start(a) <= η and
+///    first(b) ∈ Ball(last(a)). Those pairs are read straight from a
+///    by-first-location index over the ball, with no cex call.
+///
+/// Only rows with room for a peer (feasible, shorter than θ) are indexed.
+class LocationKeyedProbe {
+ public:
+  LocationKeyedProbe(const TrajectorySet& set, const PredicateEvaluator& pred,
+                     const std::vector<bool>& feasible)
+      : set_(set), pred_(pred), rank_(set.size(), 0) {
+    for (TrajIndex i = 0; i < set.size(); ++i) {
+      const Trajectory& t = set.at(i);
+      if (!feasible[i] || t.size() >= pred.theta()) continue;
+      by_start_.push_back({t.start_time(), t.end_time(), i,
+                           static_cast<uint32_t>(t.size())});
+    }
+    // Stable on an ascending-index list: ties in start keep index order.
+    std::stable_sort(by_start_.begin(), by_start_.end(),
+                     [](const Row& x, const Row& y) { return x.start < y.start; });
+    // By-first-location CSR by counting sort; filling in by_start_ order
+    // keeps each location's run sorted by (start, index).
+    size_t num_locations = pred.reachability().num_locations();
+    loc_offsets_.assign(num_locations + 1, 0);
+    for (const Row& r : by_start_) ++loc_offsets_[FirstLocation(r) + 1];
+    for (size_t v = 0; v < num_locations; ++v) {
+      loc_offsets_[v + 1] += loc_offsets_[v];
+    }
+    by_loc_.resize(by_start_.size());
+    std::vector<uint32_t> cursor(loc_offsets_.begin(), loc_offsets_.end() - 1);
+    for (uint32_t k = 0; k < by_start_.size(); ++k) {
+      rank_[by_start_[k].index] = k;
+      by_loc_[cursor[FirstLocation(by_start_[k])]++] = by_start_[k];
+    }
+  }
+
+  void Probe(TrajIndex i, ShardScratch* out) const {
+    const Trajectory& a = set_.at(i);
+    if (a.size() >= pred_.theta()) return;  // no room for a peer
+    size_t room = pred_.theta() - a.size();
+    Timestamp horizon = a.start_time() + pred_.eta();  // latest end(b)
+    for (size_t k = rank_[i] + 1;
+         k < by_start_.size() && by_start_[k].start <= a.end_time(); ++k) {
+      const Row& b = by_start_[k];
+      if (b.length > room || b.end > horizon) continue;
+      ++out->candidate_pairs;
+      ++out->cex_evaluations;
+      if (pred_.Cex(a, set_.at(b.index))) out->edges.emplace_back(i, b.index);
+    }
+    auto later = [](Timestamp ts, const Row& r) { return ts < r.start; };
+    for (LocationId v : pred_.reachability().Ball(a.points().back().loc)) {
+      auto run_end = by_loc_.begin() + loc_offsets_[v + 1];
+      auto it = std::upper_bound(by_loc_.begin() + loc_offsets_[v], run_end,
+                                 a.end_time(), later);
+      for (; it != run_end && it->start <= horizon; ++it) {
+        ++out->candidate_pairs;
+        if (it->length <= room && it->end <= horizon) {
+          out->edges.emplace_back(i, it->index);
+        }
+      }
+    }
+  }
+
+ private:
+  struct Row {
+    Timestamp start;
+    Timestamp end;
+    TrajIndex index;
+    uint32_t length;
+  };
+
+  LocationId FirstLocation(const Row& r) const {
+    return set_.at(r.index).points().front().loc;
+  }
+
+  const TrajectorySet& set_;
+  const PredicateEvaluator& pred_;
+  std::vector<Row> by_start_;        // indexed rows, (start, index) order
+  std::vector<uint32_t> rank_;       // vertex -> position in by_start_
+  std::vector<uint32_t> loc_offsets_;  // CSR over first location
+  std::vector<Row> by_loc_;          // by_start_ grouped by first location
 };
 
 }  // namespace
@@ -36,13 +142,30 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
   }
   stats_.used_lig = options.use_lig;
 
-  // Shard the pairwise/LIG cex-evaluation loop over the probe vertex i.
-  // Shard boundaries depend only on (n, threads, grain), never on timing.
   auto shards = SplitRange(n, options.exec.ResolvedThreads(),
                            options.exec.min_partition_grain);
   std::vector<ShardScratch> scratch(shards.size());
 
-  if (options.use_lig) {
+  if (!options.use_lig) {
+    ProbeShards(shards, feasible_, &scratch,
+                [&](TrajIndex i, ShardScratch* out) {
+                  for (TrajIndex j = i + 1; j < n; ++j) {
+                    if (!feasible_[j]) continue;
+                    ++out->candidate_pairs;
+                    ++out->cex_evaluations;
+                    if (pred.Cex(set.at(i), set.at(j))) {
+                      out->edges.emplace_back(i, j);
+                    }
+                  }
+                });
+  } else if (!pred.reachability().dense()) {
+    // Past the dense-reachability limit the ball CSR is at hand, and the
+    // location key skips the time-disjoint pairs that cannot reach each
+    // other — nearly all of a city-scale LIG probe's answer.
+    LocationKeyedProbe probe(set, pred, feasible_);
+    ProbeShards(shards, feasible_, &scratch,
+                [&](TrajIndex i, ShardScratch* out) { probe.Probe(i, out); });
+  } else {
     LengthIndexedGrids::Options lig_opts;
     lig_opts.theta = options.theta;
     lig_opts.eta = options.eta;
@@ -66,42 +189,19 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
       local.emplace(set, lig_opts);
       index = &*local;
     }
-    (void)ParallelFor(
-        &ThreadPool::Default(), shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          obs::TraceSpan span("gm.shard", shard);
-          ShardScratch& out = scratch[shard];
-          std::vector<TrajIndex> candidates;
-          for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
-            if (!feasible_[i]) continue;
-            candidates.clear();
-            index->CollectCandidates(i, &candidates);
-            for (TrajIndex j : candidates) {
-              if (j <= i || !feasible_[j]) continue;  // each pair once
-              ++out.candidate_pairs;
-              ++out.cex_evaluations;
-              if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
-            }
-          }
-          return Status::OK();
-        });
-  } else {
-    (void)ParallelFor(
-        &ThreadPool::Default(), shards,
-        [&](size_t shard, size_t begin, size_t end) {
-          obs::TraceSpan span("gm.shard", shard);
-          ShardScratch& out = scratch[shard];
-          for (TrajIndex i = static_cast<TrajIndex>(begin); i < end; ++i) {
-            if (!feasible_[i]) continue;
-            for (TrajIndex j = i + 1; j < n; ++j) {
-              if (!feasible_[j]) continue;
-              ++out.candidate_pairs;
-              ++out.cex_evaluations;
-              if (pred.Cex(set.at(i), set.at(j))) out.edges.emplace_back(i, j);
-            }
-          }
-          return Status::OK();
-        });
+    ProbeShards(shards, feasible_, &scratch,
+                [&](TrajIndex i, ShardScratch* out) {
+                  out->probe.clear();
+                  index->CollectCandidates(i, &out->probe);
+                  for (TrajIndex j : out->probe) {
+                    if (j <= i || !feasible_[j]) continue;  // each pair once
+                    ++out->candidate_pairs;
+                    ++out->cex_evaluations;
+                    if (pred.Cex(set.at(i), set.at(j))) {
+                      out->edges.emplace_back(i, j);
+                    }
+                  }
+                });
   }
 
   // Deterministic merge: shard order, then the usual neighbor sort.

@@ -21,16 +21,31 @@ namespace idrepair {
 class TrajectoryGraph {
  public:
   /// Statistics of one construction, for the Fig 14(a) experiment.
+  ///
+  /// On the all-pairs and LIG paths every candidate pair gets one cex call,
+  /// so the two counters are equal. On the location-keyed path they differ:
+  /// cex_evaluations counts the overlapping-span pairs that pass the exact
+  /// length and η pre-checks (the only pairs that still run cex), and
+  /// candidate_pairs counts those plus the ball hits — the disjoint pairs
+  /// read from the by-first-location index inside the start window.
   struct BuildStats {
     size_t cex_evaluations = 0;   // full predicate evaluations performed
     size_t candidate_pairs = 0;   // pairs surviving the index/pre-filter
     size_t edges = 0;
-    bool used_lig = false;
+    bool used_lig = false;        // options.use_lig: an index probe ran
   };
 
-  /// Builds Gm over `set`. When `options.use_lig` is set, candidate pairs
-  /// come from a Length-Indexed Grids index (§5.1); otherwise every pair is
-  /// tested. Internally infeasible trajectories become isolated vertices.
+  /// Builds Gm over `set`. With `options.use_lig` off every feasible pair
+  /// runs cex (the reference path). With it on, the probe follows the
+  /// reachability `pred` holds:
+  ///  * dense (at most 512 locations): candidates come from a
+  ///    Length-Indexed Grids index (§5.1), each checked by cex;
+  ///  * bounded (the ball CSR): a location-keyed probe. Overlapping-span
+  ///    pairs run cex; a time-disjoint pair is an edge iff its lengths and
+  ///    span fit θ/η and the later one's first location lies in the θ−1 hop
+  ///    ball of the earlier one's last — the whole of cex for such a pair.
+  /// Both give the all-pairs edge set. Internally infeasible trajectories
+  /// become isolated vertices.
   TrajectoryGraph(const TrajectorySet& set, const PredicateEvaluator& pred,
                   const RepairOptions& options);
 
