@@ -48,7 +48,8 @@ class TransitionGraph {
 
   /// True iff the directed edge (from, to) exists. A scan of `from`'s
   /// out-list, the graph's only edge-membership store: road-network
-  /// out-degrees are single digits, so the scan is a few compares. An
+  /// out-degrees are small (at most 28 on the scenario catalog, the hubs of
+  /// its ring-radial and hub-spoke graphs; 3 on its grids). An
   /// out-of-range `to` is in no list.
   bool HasEdge(LocationId from, LocationId to) const {
     if (from >= out_.size()) return false;

@@ -105,55 +105,6 @@ LengthIndexedGrids::Parts LengthIndexedGrids::ToParts() const {
   return parts;
 }
 
-LengthIndexedGrids::LengthIndexedGrids(const TrajectorySet& set, Parts parts)
-    : set_(set),
-      options_(parts.options),
-      base_time_(parts.base_time),
-      num_bins_(static_cast<size_t>(parts.num_bins)),
-      band_(static_cast<size_t>(parts.band)),
-      num_indexed_(static_cast<size_t>(parts.num_indexed)),
-      cell_offsets_(std::move(parts.cell_offsets)),
-      cell_entries_(std::move(parts.cell_entries)) {}
-
-Result<std::unique_ptr<LengthIndexedGrids>> LengthIndexedGrids::FromParts(
-    const TrajectorySet& set, Parts parts) {
-  if (parts.options.theta == 0) {
-    return Status::InvalidArgument("lig parts: theta must be >= 1");
-  }
-  if (parts.num_bins == 0 || parts.band == 0) {
-    return Status::InvalidArgument("lig parts: num_bins and band must be >= 1");
-  }
-  uint64_t num_cells =
-      static_cast<uint64_t>(parts.options.theta) * parts.num_bins * parts.band;
-  if (parts.cell_offsets.size() != num_cells + 1) {
-    return Status::InvalidArgument("lig parts: offset table size mismatch");
-  }
-  if (parts.cell_offsets.front() != 0) {
-    return Status::InvalidArgument("lig parts: offsets must start at 0");
-  }
-  for (size_t c = 0; c + 1 < parts.cell_offsets.size(); ++c) {
-    if (parts.cell_offsets[c] > parts.cell_offsets[c + 1]) {
-      return Status::InvalidArgument("lig parts: offsets must be monotone");
-    }
-  }
-  if (parts.cell_offsets.back() != parts.cell_entries.size()) {
-    return Status::InvalidArgument(
-        "lig parts: entry arena size disagrees with final offset");
-  }
-  if (parts.num_indexed != parts.cell_entries.size()) {
-    return Status::InvalidArgument(
-        "lig parts: num_indexed disagrees with entry count");
-  }
-  for (TrajIndex e : parts.cell_entries) {
-    if (static_cast<size_t>(e) >= set.size()) {
-      return Status::InvalidArgument(
-          "lig parts: entry index out of range for the given set");
-    }
-  }
-  return std::unique_ptr<LengthIndexedGrids>(
-      new LengthIndexedGrids(set, std::move(parts)));
-}
-
 size_t LengthIndexedGrids::CellFor(const Trajectory& t) const {
   if (t.empty() || t.size() > options_.theta) return SIZE_MAX;
   if (t.TimeSpan() > options_.eta) return SIZE_MAX;  // can never join

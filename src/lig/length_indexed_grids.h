@@ -3,11 +3,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <tuple>
 #include <vector>
 
-#include "common/status.h"
 #include "traj/tracking_record.h"
 #include "traj/trajectory_set.h"
 
@@ -48,9 +46,8 @@ class LengthIndexedGrids {
     Timestamp time_bin = 60;
   };
 
-  /// The complete serializable state of a built index. Together with the
-  /// indexed TrajectorySet this reconstructs the index exactly — the
-  /// snapshot format persists Parts so daemon startup is load-not-rebuild.
+  /// The complete state of a built index in CSR form, the canonical shape
+  /// two indexes are compared in.
   struct Parts {
     Options options;
     Timestamp base_time = 0;
@@ -72,19 +69,11 @@ class LengthIndexedGrids {
   static LengthIndexedGrids Dynamic(const Options& options,
                                     Timestamp base_time);
 
-  /// Copies out the serializable state. Building a fresh index over the
-  /// same set with parts.options yields byte-identical Parts (the CSR fill
-  /// is deterministic, and a dynamic index re-linearizes canonically),
-  /// which the snapshot round-trip and fixed-point tests rely on.
+  /// Copies out the CSR state. Building a fresh index over the same set
+  /// with parts.options yields byte-identical Parts (the CSR fill is
+  /// deterministic, and a dynamic index re-linearizes canonically), which
+  /// the fixed-point tests rely on.
   Parts ToParts() const;
-
-  /// Reconstructs an index over `set` from previously captured Parts,
-  /// validating every structural invariant (offset table shape, monotone
-  /// offsets, entry bounds, the num_indexed == entries count identity).
-  /// `set` must outlive the returned index, exactly as for the building
-  /// constructor.
-  static Result<std::unique_ptr<LengthIndexedGrids>> FromParts(
-      const TrajectorySet& set, Parts parts);
 
   /// Appends to `out` all indexed trajectories (other than `k` itself) that
   /// satisfy the grid-level length and time-window criteria for pairing
@@ -129,15 +118,7 @@ class LengthIndexedGrids {
 
   const Options& options() const { return options_; }
 
-  /// The set this index was built over. Identity matters: a prebuilt index
-  /// is only valid for probes into this exact object (see
-  /// RepairOptions::resident_lig).
-  const TrajectorySet& indexed_set() const { return set_; }
-
  private:
-  /// FromParts' trusting constructor — validation happens in the factory.
-  LengthIndexedGrids(const TrajectorySet& set, Parts parts);
-
   size_t CellIndex(size_t length, size_t start_bin, size_t span_off) const {
     return ((length - 1) * num_bins_ + start_bin) * band_ + span_off;
   }

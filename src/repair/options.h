@@ -11,8 +11,6 @@
 
 namespace idrepair {
 
-class LengthIndexedGrids;
-
 /// Which heuristic picks the compatible repair set from the repair graph
 /// (§4.2, §6.5.1). kExact solves the weighted-independent-set problem
 /// optimally (exponential worst case; use on small inputs only).
@@ -59,11 +57,11 @@ struct RepairOptions {
   /// λ — similarity/potency trade-off in Eq. (3), in (0, 1].
   double lambda = 0.5;
 
-  /// Grid bin width of the LIG index, seconds.
+  /// Grid bin width of the streaming engine's LIG index, seconds.
   Timestamp time_bin = 60;
-  /// Use an index when building the trajectory graph: the Length-Indexed
-  /// Grids (§5.1) on dense-reachability graphs, the location-keyed probe
-  /// past 512 locations (see TrajectoryGraph). Off = exhaustive pairwise cex.
+  /// Build the batch engine's trajectory graph with the location-keyed
+  /// probe (see TrajectoryGraph); off = exhaustive pairwise cex. The
+  /// streaming engine always probes its own Length-Indexed Grids (§5.1).
   bool use_lig = true;
   /// Use minimum-cover-prefix pruning during clique generation (§5.2).
   bool use_mcp_pruning = true;
@@ -81,17 +79,6 @@ struct RepairOptions {
   /// similarity. Implementations must return values in [0, 1]; debug
   /// builds verify this at every use.
   const IdSimilarity* similarity = nullptr;
-
-  /// A prebuilt LIG index the engine may reuse instead of rebuilding one
-  /// per Repair() call — the daemon's load-not-rebuild path for repairs
-  /// over a registered resident corpus. Not owned (same contract as
-  /// `similarity`). Only the dense-reachability Gm probe reads a LIG, and
-  /// there the index is consulted only when the set being
-  /// repaired *is* the object the index was built over (pointer identity
-  /// against LengthIndexedGrids::indexed_set()) and the θ/η/time_bin knobs
-  /// match; any mismatch silently falls back to a fresh build, so results
-  /// are identical either way.
-  const LengthIndexedGrids* resident_lig = nullptr;
 
   /// Parallel-execution knobs (thread count, task granularity), consumed
   /// by every engine: trajectory-graph sharding, candidate generation and
@@ -132,10 +119,6 @@ struct RepairOptions {
   }
   RepairOptions& WithSimilarity(const IdSimilarity* v) {
     similarity = v;
-    return *this;
-  }
-  RepairOptions& WithResidentLig(const LengthIndexedGrids* v) {
-    resident_lig = v;
     return *this;
   }
   RepairOptions& WithThreads(int v) {

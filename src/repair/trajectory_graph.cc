@@ -1,12 +1,10 @@
 #include "repair/trajectory_graph.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace idrepair {
@@ -19,7 +17,6 @@ namespace {
 /// build for every thread count.
 struct ShardScratch {
   std::vector<std::pair<TrajIndex, TrajIndex>> edges;
-  std::vector<TrajIndex> probe;  // LIG candidates of the current vertex
   size_t candidate_pairs = 0;
   size_t cex_evaluations = 0;
 };
@@ -41,22 +38,36 @@ void ProbeShards(const std::vector<std::pair<size_t, size_t>>& shards,
                     });
 }
 
-/// The Gm probe of a graph whose reachability is the bounded ball CSR. Each
-/// pair is handled once, from its earlier trajectory `a` in (start, index)
-/// order, so b starts at or after a:
+/// The indexed Gm probe. Each pair is handled once, from its earlier
+/// trajectory `a` in (start, index) order, so b starts at or after a:
 ///
 ///  * overlapping spans (start(b) <= end(a)) run the full cex walk;
 ///  * disjoint spans (start(b) > end(a)) merge as all of a, then all of b,
 ///    so cex reduces to |a|+|b| <= θ, end(b) − start(a) <= η and
-///    first(b) ∈ Ball(last(a)). Those pairs are read straight from a
-///    by-first-location index over the ball, with no cex call.
+///    first(b) ∈ Ball(last(a)), the θ−1 hop ball. Those pairs are read
+///    straight from a by-first-location index over the ball, with no cex
+///    call.
 ///
-/// Only rows with room for a peer (feasible, shorter than θ) are indexed.
+/// A bounded matrix holds the balls as its CSR; on a dense matrix they are
+/// cut from its hop rows once per build. Only rows with room for a peer
+/// (feasible, shorter than θ) are indexed.
 class LocationKeyedProbe {
  public:
   LocationKeyedProbe(const TrajectorySet& set, const PredicateEvaluator& pred,
                      const std::vector<bool>& feasible)
       : set_(set), pred_(pred), rank_(set.size(), 0) {
+    const ReachabilityMatrix& reach = pred.reachability();
+    if (reach.dense() && pred.theta() > 1) {
+      auto max_hops = static_cast<uint32_t>(pred.theta() - 1);
+      dense_ball_offsets_.push_back(0);
+      for (LocationId u = 0; u < reach.num_locations(); ++u) {
+        for (LocationId v = 0; v < reach.num_locations(); ++v) {
+          if (reach.Reachable(u, v, max_hops)) dense_balls_.push_back(v);
+        }
+        dense_ball_offsets_.push_back(
+            static_cast<uint32_t>(dense_balls_.size()));
+      }
+    }
     for (TrajIndex i = 0; i < set.size(); ++i) {
       const Trajectory& t = set.at(i);
       if (!feasible[i] || t.size() >= pred.theta()) continue;
@@ -96,7 +107,7 @@ class LocationKeyedProbe {
       if (pred_.Cex(a, set_.at(b.index))) out->edges.emplace_back(i, b.index);
     }
     auto later = [](Timestamp ts, const Row& r) { return ts < r.start; };
-    for (LocationId v : pred_.reachability().Ball(a.points().back().loc)) {
+    for (LocationId v : Ball(a.points().back().loc)) {
       auto run_end = by_loc_.begin() + loc_offsets_[v + 1];
       auto it = std::upper_bound(by_loc_.begin() + loc_offsets_[v], run_end,
                                  a.end_time(), later);
@@ -117,6 +128,13 @@ class LocationKeyedProbe {
     uint32_t length;
   };
 
+  Span<const LocationId> Ball(LocationId u) const {
+    if (!pred_.reachability().dense()) return pred_.reachability().Ball(u);
+    return Span<const LocationId>(
+        dense_balls_.data() + dense_ball_offsets_[u],
+        dense_ball_offsets_[u + 1] - dense_ball_offsets_[u]);
+  }
+
   LocationId FirstLocation(const Row& r) const {
     return set_.at(r.index).points().front().loc;
   }
@@ -127,6 +145,8 @@ class LocationKeyedProbe {
   std::vector<uint32_t> rank_;       // vertex -> position in by_start_
   std::vector<uint32_t> loc_offsets_;  // CSR over first location
   std::vector<Row> by_loc_;          // by_start_ grouped by first location
+  std::vector<uint32_t> dense_ball_offsets_;  // dense matrix: ball CSR
+  std::vector<LocationId> dense_balls_;
 };
 
 }  // namespace
@@ -158,50 +178,10 @@ TrajectoryGraph::TrajectoryGraph(const TrajectorySet& set,
                     }
                   }
                 });
-  } else if (!pred.reachability().dense()) {
-    // Past the dense-reachability limit the ball CSR is at hand, and the
-    // location key skips the time-disjoint pairs that cannot reach each
-    // other — nearly all of a city-scale LIG probe's answer.
+  } else {
     LocationKeyedProbe probe(set, pred, feasible_);
     ProbeShards(shards, feasible_, &scratch,
                 [&](TrajIndex i, ShardScratch* out) { probe.Probe(i, out); });
-  } else {
-    LengthIndexedGrids::Options lig_opts;
-    lig_opts.theta = options.theta;
-    lig_opts.eta = options.eta;
-    lig_opts.time_bin = options.time_bin;
-    // Reuse a resident index only when it was built over this exact set
-    // with these exact knobs; the fresh build below is byte-identical in
-    // that case, so reuse can never change the graph.
-    std::optional<LengthIndexedGrids> local;
-    const LengthIndexedGrids* index = options.resident_lig;
-    if (index != nullptr && &index->indexed_set() == &set &&
-        index->options().theta == lig_opts.theta &&
-        index->options().eta == lig_opts.eta &&
-        index->options().time_bin == lig_opts.time_bin) {
-      if (obs::Enabled()) {
-        static obs::Counter* reused = obs::MetricsRegistry::Global().GetCounter(
-            "idrepair_gm_resident_lig_reuse_total", obs::Stability::kRuntime,
-            "Gm builds that reused a resident (snapshot-loaded) LIG index");
-        reused->Increment();
-      }
-    } else {
-      local.emplace(set, lig_opts);
-      index = &*local;
-    }
-    ProbeShards(shards, feasible_, &scratch,
-                [&](TrajIndex i, ShardScratch* out) {
-                  out->probe.clear();
-                  index->CollectCandidates(i, &out->probe);
-                  for (TrajIndex j : out->probe) {
-                    if (j <= i || !feasible_[j]) continue;  // each pair once
-                    ++out->candidate_pairs;
-                    ++out->cex_evaluations;
-                    if (pred.Cex(set.at(i), set.at(j))) {
-                      out->edges.emplace_back(i, j);
-                    }
-                  }
-                });
   }
 
   // Deterministic merge: shard order, then the usual neighbor sort.

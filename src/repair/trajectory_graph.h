@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lig/length_indexed_grids.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "traj/trajectory_set.h"
@@ -22,8 +21,8 @@ class TrajectoryGraph {
  public:
   /// Statistics of one construction, for the Fig 14(a) experiment.
   ///
-  /// On the all-pairs and LIG paths every candidate pair gets one cex call,
-  /// so the two counters are equal. On the location-keyed path they differ:
+  /// On the all-pairs path every candidate pair gets one cex call, so the
+  /// two counters are equal. On the location-keyed path they differ:
   /// cex_evaluations counts the overlapping-span pairs that pass the exact
   /// length and η pre-checks (the only pairs that still run cex), and
   /// candidate_pairs counts those plus the ball hits — the disjoint pairs
@@ -36,16 +35,14 @@ class TrajectoryGraph {
   };
 
   /// Builds Gm over `set`. With `options.use_lig` off every feasible pair
-  /// runs cex (the reference path). With it on, the probe follows the
-  /// reachability `pred` holds:
-  ///  * dense (at most 512 locations): candidates come from a
-  ///    Length-Indexed Grids index (§5.1), each checked by cex;
-  ///  * bounded (the ball CSR): a location-keyed probe. Overlapping-span
-  ///    pairs run cex; a time-disjoint pair is an edge iff its lengths and
-  ///    span fit θ/η and the later one's first location lies in the θ−1 hop
-  ///    ball of the earlier one's last — the whole of cex for such a pair.
-  /// Both give the all-pairs edge set. Internally infeasible trajectories
-  /// become isolated vertices.
+  /// runs cex (the reference path). With it on, a location-keyed probe:
+  /// overlapping-span pairs run cex; a time-disjoint pair is an edge iff
+  /// its lengths and span fit θ/η and the later one's first location lies
+  /// in the θ−1 hop ball of the earlier one's last — the whole of cex for
+  /// such a pair. The balls come from `pred`'s reachability: the CSR of a
+  /// bounded matrix, or cut from the rows of a dense one. Both paths give
+  /// the same edge set. Internally infeasible trajectories become isolated
+  /// vertices.
   TrajectoryGraph(const TrajectorySet& set, const PredicateEvaluator& pred,
                   const RepairOptions& options);
 

@@ -116,8 +116,7 @@ struct RepairRequest {
   /// was byte-identical to core and is retired; it is still accepted and
   /// runs core, so old clients keep working. Values > 1 are refused.
   uint8_t engine = 0;
-  /// Repair the registered resident corpus (load-not-rebuild: the bundle's
-  /// snapshot-loaded LIG index is reused) instead of shipping batches.
+  /// Repair the registered resident corpus instead of shipping batches.
   bool use_corpus = false;
   /// Independent record batches; each is repaired as its own trajectory
   /// set, dispatched onto the exec pool.

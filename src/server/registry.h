@@ -35,7 +35,6 @@ class GraphRegistry {
     size_t num_locations = 0;
     size_t num_edges = 0;
     size_t corpus_trajectories = 0;
-    size_t lig_indexed = 0;
     /// Outstanding bundle references beyond the registry's own (in-flight
     /// repairs still pinning this or an older epoch are not counted here —
     /// this is the *current* bundle's use count).

@@ -385,7 +385,6 @@ std::string IdRepairServer::HandleRepair(std::string_view payload) {
   } else if (options.deadline_ms == 0 && options_.default_deadline_ms > 0) {
     options.deadline_ms = options_.default_deadline_ms;
   }
-  if (req.use_corpus) options.resident_lig = bundle->lig.get();
 
   // Both wire engine selectors (0 = core, 1 = the retired partitioned
   // engine, which produced byte-identical output) run the one batch engine,

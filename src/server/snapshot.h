@@ -11,7 +11,6 @@
 
 #include "common/status.h"
 #include "graph/transition_graph.h"
-#include "lig/length_indexed_grids.h"
 #include "repair/options.h"
 #include "repair/predicates.h"
 #include "server/wire_format.h"
@@ -22,8 +21,7 @@ namespace idrepair {
 namespace server {
 
 /// One registry entry: a named transition graph, the repair options it was
-/// registered with, and (optionally) a resident corpus with its prebuilt
-/// LIG index. Bundles are immutable after construction (apart from the
+/// registered with, and (optionally) a resident corpus. Bundles are immutable after construction (apart from the
 /// evaluator Predicates() builds once, thread-safely, on first use) and
 /// shared through shared_ptr<const GraphBundle> — the epoch mechanism of
 /// GraphRegistry: replacing an entry swaps the pointer, and in-flight
@@ -33,17 +31,12 @@ struct GraphBundle {
   /// Registry epoch of this bundle, monotonically increasing per name.
   uint64_t version = 1;
   TransitionGraph graph;
-  /// The registered defaults. `similarity`, `exec`, `obs`, and
-  /// `resident_lig` are process-local and never persisted; a snapshot
-  /// round-trip resets them to defaults.
+  /// The registered defaults. `similarity`, `exec` and `obs` are
+  /// process-local and never persisted; a snapshot round-trip resets them
+  /// to defaults.
   RepairOptions options;
-  /// Resident corpus (heap-allocated so the LIG's back-reference survives
-  /// bundle moves), or null when the tenant registered a graph only.
+  /// Resident corpus, or null when the tenant registered a graph only.
   std::unique_ptr<TrajectorySet> corpus;
-  /// LIG index over *corpus with the bundle's θ/η/time_bin; null iff
-  /// corpus is null. Loaded from snapshot sections at startup — not
-  /// rebuilt — and handed to engines via RepairOptions::resident_lig.
-  std::unique_ptr<LengthIndexedGrids> lig;
 
   /// Flattens the resident corpus back to records, in trajectory order.
   /// Deterministic, and FromRecords of the result reproduces the corpus —
@@ -67,8 +60,8 @@ struct GraphBundle {
 using BundlePtr = std::shared_ptr<const GraphBundle>;
 
 /// Validates and assembles a bundle: graph structural sanity, option
-/// sanity, corpus record location bounds; builds the corpus set and its
-/// LIG index when `corpus_records` is non-empty.
+/// sanity, corpus record location bounds; builds the corpus set when
+/// `corpus_records` is non-empty.
 Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
                              TransitionGraph graph, RepairOptions options,
                              std::vector<TrackingRecord> corpus_records);
@@ -93,8 +86,8 @@ Result<BundlePtr> MakeBundle(std::string name, uint64_t version,
 //               against the matrix rebuilt from section 3
 //   5 options   the registered RepairOptions (persistable fields only)
 //   6 corpus    resident corpus records (optional)
-//   7 lig       LengthIndexedGrids::Parts over the corpus (optional,
-//               requires section 6) — the load-not-rebuild payload
+//   7 lig       retired: a LIG index over the corpus, written by older
+//               builds; accepted on load and skipped, never written
 //
 // Loaders reject bad magic, unknown versions, truncation, trailing bytes,
 // CRC mismatches, unknown or out-of-order sections, and any structural

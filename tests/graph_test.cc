@@ -337,7 +337,8 @@ void RandomMutation(ModelledGraph& mg, size_t target, Rng& rng,
 }
 
 TEST(TransitionGraphTest, WriteTimeInvariantsHoldUnderRandomInterleaving) {
-  // Sizes past 64 make the edge-bit stride grow mid-sequence.
+  // Sizes from one location to 140, so EdgeMatrix() rows straddle its
+  // 64-bit words.
   for (size_t target : {1u, 7u, 30u, 70u, 140u}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       SCOPED_TRACE(testing::Message() << "target=" << target

@@ -16,7 +16,6 @@
 #include "common/crc32.h"
 #include "gen/synthetic.h"
 #include "graph/generators.h"
-#include "lig/length_indexed_grids.h"
 #include "repair/repairer.h"
 #include "server/snapshot.h"
 #include "test_util.h"
@@ -107,21 +106,15 @@ TEST(SnapshotTest, DecodedBundlePreservesEveryField) {
   EXPECT_EQ(b.options.eta, 1200);
   ASSERT_NE(b.corpus, nullptr);
   EXPECT_EQ(b.corpus->total_records(), 7u);
-  ASSERT_NE(b.lig, nullptr);
-  // The loaded LIG indexes the loaded corpus object — the pointer identity
-  // RepairOptions::resident_lig reuse hinges on.
-  EXPECT_EQ(&b.lig->indexed_set(), b.corpus.get());
 }
 
-TEST(SnapshotTest, LoadedLigRepairsIdenticallyToFreshBuild) {
+TEST(SnapshotTest, LoadedCorpusRepairsIdenticallyToFreshBundle) {
   auto bundle = MakePaperBundle();
   ASSERT_TRUE(bundle.ok()) << bundle.status();
   auto loaded = DecodeSnapshot(EncodeSnapshot(**bundle));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-  RepairOptions with_resident = (*loaded)->options;
-  with_resident.resident_lig = (*loaded)->lig.get();
-  IdRepairer resident_engine((*loaded)->graph, with_resident);
+  IdRepairer resident_engine((*loaded)->graph, (*loaded)->options);
   auto resident = resident_engine.Repair(*(*loaded)->corpus);
   ASSERT_TRUE(resident.ok()) << resident.status();
 
@@ -281,39 +274,31 @@ TEST(SnapshotTest, EveryPayloadByteFlipIsRejectedOrDecodesToAFixedPoint) {
   EXPECT_GT(rejected, accepted);
 }
 
-TEST(SnapshotTest, LigSectionMismatchedOptionsIsRejected) {
-  // FromParts is the snapshot's trust boundary for the LIG arena; feed it
-  // structurally broken Parts directly.
-  auto set = testutil::MakeTable2Trajectories();
-  LengthIndexedGrids::Options options;
-  options.theta = 5;
-  options.eta = 1200;
-  LengthIndexedGrids lig(set, options);
-  LengthIndexedGrids::Parts good = lig.ToParts();
+TEST(SnapshotTest, RetiredLigSectionIsSkipped) {
+  // Older builds wrote a LIG index over the corpus as section 7. Their
+  // files still load; the section is dropped, so re-encoding gives the
+  // bytes this build writes.
+  auto bundle = MakePaperBundle();
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  std::string current = EncodeSnapshot(**bundle);
+  std::string legacy = current;
+  BinaryWriter w(&legacy);
+  w.U32(7);
+  w.U64(12);
+  w.U64(5);  // arbitrary body bytes
+  w.U32(0);
+  RestampHeader(&legacy);
+  auto loaded = DecodeSnapshot(legacy);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(EncodeSnapshot(**loaded), current);
 
-  {
-    LengthIndexedGrids::Parts bad = good;
-    bad.cell_offsets.pop_back();
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    if (!bad.cell_offsets.empty()) bad.cell_offsets[0] = 1;
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    bad.num_indexed += 1;
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  {
-    LengthIndexedGrids::Parts bad = good;
-    for (auto& e : bad.cell_entries) e = 1000;  // out of range for the set
-    EXPECT_FALSE(LengthIndexedGrids::FromParts(set, std::move(bad)).ok());
-  }
-  auto ok = LengthIndexedGrids::FromParts(set, std::move(good));
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  EXPECT_EQ(&(*ok)->indexed_set(), &set);
+  // A tag past the retired one is still unknown.
+  std::string unknown = current;
+  BinaryWriter u(&unknown);
+  u.U32(8);
+  u.U64(0);
+  RestampHeader(&unknown);
+  EXPECT_FALSE(DecodeSnapshot(unknown).ok());
 }
 
 TEST(SnapshotTest, MakeBundleValidatesInputs) {

@@ -1,8 +1,10 @@
-// Gm construction on a bounded-reachability graph (more than 512 locations),
-// where TrajectoryGraph reads time-disjoint pairs from the reachability
-// balls instead of calling cex on them. The built edge set must equal an
-// all-pairs cex oracle and a hand-driven §5.1 LIG probe, at any thread
-// count, including on crafted pairs at every boundary of the reduction.
+// Gm construction through the location-keyed probe, which reads
+// time-disjoint pairs from the θ−1 reachability balls instead of calling
+// cex on them. On a bounded-reachability graph (more than 512 locations)
+// the balls are the matrix's CSR; on a dense one they are cut from its hop
+// rows. Either way the built edge set must equal an all-pairs cex oracle
+// and a hand-driven §5.1 LIG probe, at any thread count, including on
+// crafted pairs at every boundary of the reduction.
 
 #include <gtest/gtest.h>
 
@@ -54,12 +56,13 @@ struct Fixture {
   }
 };
 
-/// A 24x24 one-way grid (576 locations: past the dense-reachability limit)
-/// with one back edge, so x10y10 lies on a 2-cycle. Rows only run east
-/// and south, so a same-row hop count is the column difference.
-Fixture MakeFixture() {
+/// A side x side one-way grid with one back edge, so x10y10 lies on a
+/// 2-cycle. Rows only run east and south, so a same-row hop count is the
+/// column difference. 24 gives 576 locations (past the dense-reachability
+/// limit), 22 gives 484 (dense).
+Fixture MakeFixture(size_t side) {
   Fixture f;
-  f.graph = MakeGridNetwork(24, 24);
+  f.graph = MakeGridNetwork(side, side);
   EXPECT_TRUE(f.graph.AddEdge(f.At(10, 11), f.At(10, 10)).ok());
 
   // Random traffic: short walks (some too long for θ, some jumping to an
@@ -153,10 +156,16 @@ RepairOptions Options(int threads) {
   return options;
 }
 
-TEST(TrajectoryGraphTest, LocationKeyedProbeMatchesCexAndLigOracles) {
-  Fixture f = MakeFixture();
+struct Pins {
+  size_t cex_evaluations;
+  size_t ball_hits;
+  size_t edges;
+};
+
+void ExpectProbeMatchesOracles(size_t side, bool dense, Pins pins) {
+  Fixture f = MakeFixture(side);
   PredicateEvaluator pred(f.graph, kTheta, kEta);
-  ASSERT_FALSE(pred.reachability().dense());
+  ASSERT_EQ(pred.reachability().dense(), dense);
   TrajectorySet set = TrajectorySet::FromRecords(f.records);
 
   std::vector<bool> feasible(set.size());
@@ -207,9 +216,18 @@ TEST(TrajectoryGraphTest, LocationKeyedProbeMatchesCexAndLigOracles) {
 
   // Work counts are a pure function of the instance: cex runs only on
   // overlapping-span pairs, and ball hits add the disjoint pairs read.
-  EXPECT_EQ(one.stats().cex_evaluations, 4908u);
-  EXPECT_EQ(one.stats().candidate_pairs, 4908u + 1833u);
-  EXPECT_EQ(one.num_edges(), 1214u);
+  EXPECT_EQ(one.stats().cex_evaluations, pins.cex_evaluations);
+  EXPECT_EQ(one.stats().candidate_pairs,
+            pins.cex_evaluations + pins.ball_hits);
+  EXPECT_EQ(one.num_edges(), pins.edges);
+}
+
+TEST(TrajectoryGraphTest, LocationKeyedProbeMatchesOraclesOnBoundedGraph) {
+  ExpectProbeMatchesOracles(24, /*dense=*/false, {4908, 1833, 1214});
+}
+
+TEST(TrajectoryGraphTest, LocationKeyedProbeMatchesOraclesOnDenseGraph) {
+  ExpectProbeMatchesOracles(22, /*dense=*/true, {5181, 2239, 1491});
 }
 
 }  // namespace
